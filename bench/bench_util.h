@@ -175,11 +175,11 @@ class BenchReporter {
 
     std::printf(
         "[perf] %s: wall=%.2fs sim=%.0fs (x%.1f) events=%lld (%.2fM/s) "
-        "packets=%lld pooled + %lld heap, threads=%d shards=%d\n",
+        "packets=%lld pooled + %lld heap, threads=%d\n",
         name_.c_str(), wall_seconds, simulated_seconds, ratio,
         static_cast<long long>(dispatched), events_per_sec / 1e6,
         static_cast<long long>(pool_packets), static_cast<long long>(heap_packets),
-        DefaultThreadCount(), ShardCountFromEnv());
+        DefaultThreadCount());
 
     const char* path = std::getenv("AIRFAIR_BENCH_JSON");
     if (path == nullptr || *path == '\0') {
@@ -198,7 +198,7 @@ class BenchReporter {
         "\"events_per_wall_sec\":%.0f,\"packets_pooled\":%lld,"
         "\"packets_pool_recycled\":%lld,\"packet_pool_chunks\":%lld,"
         "\"packets_heap\":%lld,\"tokens_created\":%lld,"
-        "\"tokens_recycled\":%lld,\"threads\":%d,\"shards\":%d,\"reps\":%d}\n",
+        "\"tokens_recycled\":%lld,\"threads\":%d,\"reps\":%d}\n",
         name_.c_str(), wall_seconds, simulated_seconds, ratio,
         static_cast<long long>(dispatched), static_cast<long long>(scheduled),
         static_cast<long long>(detached), events_per_sec,
@@ -206,7 +206,7 @@ class BenchReporter {
         static_cast<long long>(pool_chunks), static_cast<long long>(heap_packets),
         static_cast<long long>(tokens_created),
         static_cast<long long>(tokens_recycled), DefaultThreadCount(),
-        ShardCountFromEnv(), BenchRepetitions());
+        BenchRepetitions());
     std::fclose(f);
   }
 

@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "src/aqm/codel.h"
@@ -17,8 +16,6 @@
 #include "src/net/packet_pool.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
-#include "src/sim/shard_mailbox.h"
-#include "src/sim/simulation.h"
 #include "src/util/flow_hash.h"
 #include "tests/test_util.h"
 
@@ -182,79 +179,6 @@ void BM_PacketPoolAllocFree(benchmark::State& state) {
   state.SetLabel(pooled ? "pool" : "heap");
 }
 BENCHMARK(BM_PacketPoolAllocFree)->Arg(1)->Arg(0);
-
-// Per-post cost of the cross-domain mailbox: the bump-allocated entry write
-// plus the InlineFunction move — what every cross-domain event pays on top
-// of a plain PostAt inside a window. The box is recycled with Clear() at
-// capacity, so the measurement stays on the steady-state (no-growth) path.
-void BM_ShardMailboxPost(benchmark::State& state) {
-  constexpr size_t kCapacity = 1 << 12;
-  ShardMailbox box(kCapacity);
-  uint64_t id = 0;
-  for (auto _ : state) {
-    if (box.size() == kCapacity) {
-      box.Clear();
-    }
-    box.Post(1, static_cast<int64_t>(id), id % kCapacity, [] {});
-    ++id;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardMailboxPost);
-
-// End-to-end window machinery under a synthetic event mix: self-reposting
-// tickers in every domain, one cross-domain post per 16 local events. Arg is
-// the shard count; Arg(1) is the plain single-threaded loop on the identical
-// workload, so the ratio is the sharding overhead (1-core CI) or speedup
-// (multi-core). Per-iteration work: 1ms of simulated time ≈ a few hundred
-// window dispatch/merge cycles.
-void BM_ShardedWindowDispatch(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const TimeUs lookahead = TimeUs(100);
-  Simulation sim(42);
-  if (shards > 1) {
-    sim.EnableSharding(shards, lookahead);
-  }
-  const int domains = shards > 1 ? shards : 2;
-  struct Ticker {
-    Simulation* sim = nullptr;
-    int domain = 0;
-    int domains = 0;
-    uint64_t n = 0;
-    void Step() {
-      ++n;
-      if (n % 16 == 0) {
-        // At or beyond the lookahead horizon by construction.
-        sim->PostCrossAfter((domain + 1) % domains,
-                            TimeUs(100 + static_cast<int64_t>(n % 32)), [] {});
-      }
-      sim->PostAfter(TimeUs(5), [this] { Step(); });
-    }
-  };
-  std::vector<std::unique_ptr<Ticker>> tickers;
-  for (int d = 0; d < domains; ++d) {
-    ScopedShardDomain scope(d);
-    for (int a = 0; a < 4; ++a) {
-      auto ticker = std::make_unique<Ticker>();
-      ticker->sim = &sim;
-      ticker->domain = d;
-      ticker->domains = domains;
-      Ticker* raw = ticker.get();
-      sim.PostAt(TimeUs(d + a), [raw] { raw->Step(); });
-      tickers.push_back(std::move(ticker));
-    }
-  }
-  for (auto _ : state) {
-    sim.RunFor(TimeUs(1000));
-  }
-  uint64_t events = 0;
-  for (const auto& ticker : tickers) {
-    events += ticker->n;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel(shards > 1 ? "sharded" : "single");
-}
-BENCHMARK(BM_ShardedWindowDispatch)->Arg(1)->Arg(2)->Arg(4);
 
 // One timeseries sampler tick at N stations — the Testbed sampler's
 // per-tick work after the accumulator rewrite: the deliver sink appends one

@@ -36,7 +36,7 @@ void FaultInjector::Arm() {
 
   // Burst chains are seeded in plan order from the dedicated churn RNG, so
   // the trajectories are a pure function of (plan, seed) — independent of
-  // query pattern, shard count, and every other run-time degree of freedom.
+  // query pattern and every other run-time degree of freedom.
   bursts_by_station_.resize(static_cast<size_t>(n));
   Rng chain_seeds(seed_);
   for (const FaultEvent& e : plan_.events) {
@@ -62,36 +62,32 @@ void FaultInjector::Arm() {
         [this, station](const PhyRate& rate) { return ErrorFor(station, rate); });
   }
 
-  // Everything lands on the control loop: in sharded mode each perturbation
-  // becomes a serial instant (the window planner stops at control events),
-  // which is the sanctioned place for cross-domain mutation.
-  EventLoop& control = ctx_.sim->loop();
+  EventLoop& loop = ctx_.sim->loop();
   for (size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
     switch (e.kind) {
       case FaultKind::kLeave:
-        control.PostAt(e.at, [this, s = e.station] { ApplyLeave(s); });
+        loop.PostAt(e.at, [this, s = e.station] { ApplyLeave(s); });
         break;
       case FaultKind::kJoin:
-        control.PostAt(e.at, [this, s = e.station] { ApplyJoin(s); });
+        loop.PostAt(e.at, [this, s = e.station] { ApplyJoin(s); });
         break;
       case FaultKind::kBurstLoss:
         // The chain itself needs no events — the error-model wrapper reads
-        // it by time. The posts mark the window and pin serial instants at
-        // its edges. Recovery is only expected once the burst ends, so the
-        // end mark is the gated one.
-        control.PostAt(e.at, [this, s = e.station] {
+        // it by time. The posts mark the window's edges. Recovery is only
+        // expected once the burst ends, so the end mark is the gated one.
+        loop.PostAt(e.at, [this, s = e.station] {
           ++bursts_;
           Mark(onset_series_, FaultKind::kBurstLoss, s);
         });
-        control.PostAt(e.at + e.duration, [this, s = e.station] {
+        loop.PostAt(e.at + e.duration, [this, s = e.station] {
           Mark(perturbation_series_, FaultKind::kBurstLoss, s);
         });
         break;
       case FaultKind::kRateFade:
-        control.PostAt(e.at, [this, i] { ApplyFade(i); });
+        loop.PostAt(e.at, [this, i] { ApplyFade(i); });
         if (e.restore_after.us() > 0) {
-          control.PostAt(e.at + e.restore_after, [this, i] { RestoreFade(i); });
+          loop.PostAt(e.at + e.restore_after, [this, i] { RestoreFade(i); });
         }
         break;
     }

@@ -1,15 +1,10 @@
 // Deterministic fault injector: replays a FaultPlan against a live testbed.
 //
 // The injector is the one component allowed to mutate station lifecycle
-// state mid-run. It schedules every perturbation on the simulation's
-// control loop (Simulation::loop()), which in sharded mode makes each
-// perturbation a *serial instant*: the sharded loop ends the current
-// lookahead window at the event's timestamp and executes it alone on the
-// coordinator, in the same global (time, seq) order the unsharded loop
-// would use. Cross-domain mutation (station table, AP queues, reorder
-// buffers) is therefore safe, and faulted runs stay bit-identical across
-// AIRFAIR_SHARDS settings — the property tests/fault_injection_test.cc and
-// tests/sim_sharded_loop_test.cc pin.
+// state mid-run. It schedules every perturbation as a plain event on the
+// simulation's loop (Simulation::loop()), so a faulted run is a pure
+// function of (config, plan, seed): it repeats byte-for-byte and is
+// identical with the packet pool on or off (tests/fault_injection_test.cc).
 //
 // What each perturbation does:
 //  * leave  — StationTable::SetActive(false), WifiStation::Detach (uplink
@@ -80,7 +75,7 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Schedules the whole plan on the control loop and installs the burst
+  // Schedules the whole plan on the simulation's loop and installs the burst
   // error-model wrappers. Call once, before the run starts.
   void Arm();
 

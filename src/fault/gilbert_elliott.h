@@ -12,8 +12,6 @@
 // times are drawn lazily from a dedicated RNG, in trajectory order only —
 // never from query order — so StateAt(t)/LossAt(t) return identical answers
 // regardless of when, how often, or in which interleaving the medium asks.
-// That property is what keeps faulted runs bit-identical across
-// AIRFAIR_SHARDS settings.
 
 #ifndef AIRFAIR_SRC_FAULT_GILBERT_ELLIOTT_H_
 #define AIRFAIR_SRC_FAULT_GILBERT_ELLIOTT_H_

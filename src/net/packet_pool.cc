@@ -28,40 +28,14 @@ PacketPool::~PacketPool() {
   GetCounter("packets.pool.chunks").Increment(chunks());
 }
 
-int64_t PacketPool::total_allocated() const {
-  int64_t total = 0;
-  for (const DomainSlot& slot : slots_) {
-    total += slot.allocated;
-  }
-  return total;
-}
-
-int64_t PacketPool::total_recycled() const {
-  int64_t total = 0;
-  for (const DomainSlot& slot : slots_) {
-    total += slot.recycled;
-  }
-  return total;
-}
-
-int64_t PacketPool::outstanding() const {
-  int64_t total = 0;
-  for (const DomainSlot& slot : slots_) {
-    total += slot.outstanding;
-  }
-  return total;
-}
-
 int64_t PacketPool::chunks() const {
   MutexLock lock(&chunk_mutex_);
   return static_cast<int64_t>(chunks_.size());
 }
 
-void PacketPool::AddChunk(DomainSlot& slot) {
+void PacketPool::AddChunk() {
   // make_unique<Packet[]> value-initialises; fields are overwritten again on
-  // Allocate, but the free-list links must start out sane. The chunk is
-  // registered under the lock; its packets go onto the calling domain's
-  // private free list, so no other thread sees them.
+  // Allocate, but the free-list links must start out sane.
   std::unique_ptr<Packet[]> storage =
       std::make_unique<Packet[]>(static_cast<size_t>(chunk_packets_));
   Packet* chunk = storage.get();
@@ -70,36 +44,34 @@ void PacketPool::AddChunk(DomainSlot& slot) {
     chunks_.push_back(std::move(storage));
   }
   for (int i = chunk_packets_ - 1; i >= 0; --i) {
-    chunk[i].pool_next = slot.free_head;
-    slot.free_head = &chunk[i];
+    chunk[i].pool_next = free_head_;
+    free_head_ = &chunk[i];
   }
 }
 
 PacketPtr PacketPool::Allocate() {
-  DomainSlot& slot = CurrentSlot();
-  if (slot.free_head == nullptr) {
-    AddChunk(slot);
+  if (free_head_ == nullptr) {
+    AddChunk();
   } else {
-    ++slot.recycled;
+    ++recycled_;
   }
-  Packet* packet = slot.free_head;
-  slot.free_head = packet->pool_next;
+  Packet* packet = free_head_;
+  free_head_ = packet->pool_next;
   // Reset to a pristine packet. Assigning a value-initialised temporary
   // keeps this in lockstep with the Packet field list (no hand-maintained
   // reset routine to fall out of date) and costs a ~160-byte store.
   *packet = Packet{};
   packet->origin_pool = this;
-  ++slot.allocated;
-  ++slot.outstanding;
+  ++allocated_;
+  ++outstanding_;
   return PacketPtr(packet);
 }
 
 void PacketPool::Release(Packet* packet) {
   AF_DCHECK_EQ(packet->origin_pool, this);
-  DomainSlot& slot = CurrentSlot();
-  packet->pool_next = slot.free_head;
-  slot.free_head = packet;
-  --slot.outstanding;
+  packet->pool_next = free_head_;
+  free_head_ = packet;
+  --outstanding_;
 }
 
 }  // namespace airfair

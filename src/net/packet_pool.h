@@ -14,21 +14,9 @@
 // `host->NewPacket()`. After the initial warmup the steady state performs
 // zero heap allocations per packet.
 //
-// Thread model: a pool belongs to one simulation (= one repetition), but a
-// sharded simulation (Simulation::EnableSharding) runs several domain
-// threads inside one repetition, and packets are allocated and released on
-// whichever domain thread currently owns them. The pool therefore keeps one
-// cache-line-aligned free list + counter slot per shard domain, indexed by
-// CurrentShardDomain(): within a lookahead window each slot is touched only
-// by its owning domain thread, so the hot Allocate/Release path stays
-// lock-free and unchanged from the single-threaded pool. Only chunk growth
-// mutates shared state (`chunks_`) and takes `chunk_mutex_`. A packet
-// released on a different domain than it was allocated on simply joins the
-// releasing domain's free list; per-slot `outstanding` can go transiently
-// negative as packets migrate, but the sum across slots is conserved (the
-// destructor checks it). Unsharded runs use slot 0 only and behave exactly
-// as before. Aggregate accessors are safe from the coordinator thread
-// between windows (ordered by the sharded loop's barrier) or after the run.
+// Thread model: a pool belongs to one simulation (= one repetition) and is
+// used only by the thread running it. Chunk growth registers the new chunk
+// under `chunk_mutex_`.
 
 #ifndef AIRFAIR_SRC_NET_PACKET_POOL_H_
 #define AIRFAIR_SRC_NET_PACKET_POOL_H_
@@ -38,7 +26,6 @@
 #include <vector>
 
 #include "src/net/packet.h"
-#include "src/sim/shard_mailbox.h"
 #include "src/util/attributes.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -67,44 +54,29 @@ class PacketPool {
   ~PacketPool();
 
   // Returns a freshly value-initialised packet owned by this pool. Reuses a
-  // recycled packet from the calling domain's free list when available;
-  // grows by one chunk otherwise. AF_NODISCARD: a dropped PacketPtr bounces
-  // straight back into the free list.
+  // recycled packet from the free list when available; grows by one chunk
+  // otherwise. AF_NODISCARD: a dropped PacketPtr bounces straight back into
+  // the free list.
   AF_NODISCARD PacketPtr Allocate();
 
   // Called by PacketDeleter. Not for direct use. Returns the packet to the
-  // calling domain's free list.
+  // free list.
   void Release(Packet* packet);
 
-  // Introspection for tests / the bench harness: sums over all domain
-  // slots. Call from the coordinator thread between runs (or any time
-  // unsharded).
-  int64_t total_allocated() const;
-  int64_t total_recycled() const;
-  int64_t outstanding() const;
+  // Introspection for tests / the bench harness.
+  int64_t total_allocated() const { return allocated_; }
+  int64_t total_recycled() const { return recycled_; }
+  int64_t outstanding() const { return outstanding_; }
   int64_t chunks() const;
 
  private:
-  // One shard domain's private free list + counters, padded to a cache line
-  // so domain threads never false-share.
-  struct alignas(64) DomainSlot {
-    Packet* free_head = nullptr;
-    int64_t allocated = 0;    // Allocate() calls on this domain.
-    int64_t recycled = 0;     // Allocate() calls served from this free list.
-    int64_t outstanding = 0;  // Allocated-here minus released-here.
-  };
-
-  // The calling thread's slot (slot 0 for the control domain and for
-  // unsharded runs).
-  DomainSlot& CurrentSlot() {
-    const int domain = CurrentShardDomain();
-    return slots_[domain > 0 ? domain : 0];
-  }
-
-  void AddChunk(DomainSlot& slot);
+  void AddChunk();
 
   const int chunk_packets_;
-  DomainSlot slots_[kMaxShardDomains];
+  Packet* free_head_ = nullptr;
+  int64_t allocated_ = 0;    // Allocate() calls.
+  int64_t recycled_ = 0;     // Allocate() calls served from the free list.
+  int64_t outstanding_ = 0;  // Allocated minus released.
   mutable Mutex chunk_mutex_;
   std::vector<std::unique_ptr<Packet[]>> chunks_ AF_GUARDED_BY(chunk_mutex_);
 };

@@ -32,12 +32,11 @@ void WiredLink::Direction::StartNext() {
   // holder and no heap traffic); if the simulation ends before the event
   // fires, the closure's destructor releases the packet.
   // airfair-lint: allow(callback-lifetime): the Testbed destroys the Simulation (draining every queued event) before the links it owns.
-  sim_->PostCrossAfter(remote_domain_, tx_time + config_.one_way_delay,
-                       [this, packet = std::move(packet)]() mutable {
-                         AF_DCHECK(deliver_) << " wired link delivery not wired";
-                         ++delivered_;
-                         deliver_(std::move(packet));
-                       });
+  sim_->PostAfter(tx_time + config_.one_way_delay, [this, packet = std::move(packet)]() mutable {
+    AF_DCHECK(deliver_) << " wired link delivery not wired";
+    ++delivered_;
+    deliver_(std::move(packet));
+  });
   // airfair-lint: allow(callback-lifetime): same Testbed ownership as above.
   sim_->PostAfter(tx_time, [this] { StartNext(); });
 }

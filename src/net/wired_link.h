@@ -38,14 +38,6 @@ class WiredLink {
 
     void set_deliver(InlineFunction<void(PacketPtr)> deliver) { deliver_ = std::move(deliver); }
 
-    // Shard domain that owns the receiving endpoint. Deliveries cross the
-    // link via Simulation::PostCrossAfter so that, under a sharded run, the
-    // receiver's domain sees the packet through its mailbox. The link's
-    // one-way delay is what gives the sharded loop its lookahead window, so
-    // this is the canonical domain boundary of the testbed. Default 0 keeps
-    // standalone links (unit tests) identical to a plain PostAfter.
-    void set_remote_domain(int domain) { remote_domain_ = domain; }
-
     void Send(PacketPtr packet);
 
     int64_t drops() const { return drops_; }
@@ -58,7 +50,6 @@ class WiredLink {
     Config config_;
     InlineFunction<void(PacketPtr)> deliver_;
     std::deque<PacketPtr> queue_;
-    int remote_domain_ = 0;
     bool busy_ = false;
     int64_t drops_ = 0;
     int64_t delivered_ = 0;

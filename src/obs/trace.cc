@@ -70,8 +70,7 @@ const char* TraceEventTypeName(TraceEventType type) {
   return "unknown";
 }
 
-TraceBuffer::TraceBuffer(const Config& config)
-    : record_dispatch_(config.record_dispatch) {
+TraceBuffer::TraceBuffer(const Config& config) {
   const size_t capacity = RoundUpPow2(config.capacity < 2 ? 2 : config.capacity);
   ring_.resize(capacity);
   mask_ = capacity - 1;
@@ -172,14 +171,6 @@ bool TraceEnabledByDefault() {
   };
   return set("AIRFAIR_TRACE_JSON") || set("AIRFAIR_TIMESERIES_JSON");
 #endif
-}
-
-bool TraceDispatchEnabledFromEnv() {
-  if (const char* env = std::getenv("AIRFAIR_TRACE_DISPATCH");
-      env != nullptr && env[0] != '\0') {
-    return !(env[0] == '0' && env[1] == '\0');
-  }
-  return true;
 }
 
 size_t TraceRingCapacityFromEnv(size_t fallback) {

@@ -107,14 +107,6 @@ class TraceBuffer {
     size_t capacity = size_t{1} << 16;
     // Intern-table slots, pre-reserved so Intern never allocates.
     size_t intern_capacity = 256;
-    // Whether kDispatch records are appended (AF_TRACE_DISPATCH checks this
-    // gate). Dispatch records describe the event loop's own bookkeeping, not
-    // packet lifecycle, and in a sharded run (Simulation::EnableSharding)
-    // only the coordinator's domain traces — so sharded and single-threaded
-    // rings differ exactly by dispatch records. Turning them off
-    // (AIRFAIR_TRACE_DISPATCH=0) makes the two rings byte-identical, which
-    // the equivalence tests and the CI trace-diff artifact rely on.
-    bool record_dispatch = true;
   };
 
   TraceBuffer() : TraceBuffer(Config()) {}
@@ -128,9 +120,6 @@ class TraceBuffer {
   // owning simulation's clock.
   using ClockFn = InlineFunction<TimeUs()>;
   void set_clock(ClockFn clock) { clock_ = std::move(clock); }
-
-  // Gate read by AF_TRACE_DISPATCH (see Config::record_dispatch).
-  bool record_dispatch() const { return record_dispatch_; }
 
   // Synchronous observer for kDeliver records, invoked from Append with the
   // freshly written record. The Testbed's sampler feeds its per-station
@@ -216,7 +205,6 @@ class TraceBuffer {
   uint64_t head_ = 0;
   std::vector<const char*> interned_;
   ClockFn clock_;
-  bool record_dispatch_ = true;
   DeliverSinkFn deliver_sink_ = nullptr;
   void* deliver_sink_ctx_ = nullptr;
 };
@@ -254,12 +242,6 @@ bool TraceEnabledByDefault();
 // Ring capacity override from AIRFAIR_TRACE_RING (records), else
 // `fallback`. Used by the Testbed when building its buffer.
 size_t TraceRingCapacityFromEnv(size_t fallback);
-
-// Dispatch-record gate from AIRFAIR_TRACE_DISPATCH: "0" disables kDispatch
-// records (see TraceBuffer::Config::record_dispatch), anything else — or the
-// variable being unset — keeps them. Used by the Testbed when building its
-// buffer.
-bool TraceDispatchEnabledFromEnv();
 
 }  // namespace airfair
 
@@ -361,21 +343,7 @@ bool TraceDispatchEnabledFromEnv();
   AF_TRACE_NOW(kSchedCharge, station, -1, airtime_us, deficit_after_us, 0)
 #define AF_TRACE_SCHED_MOVE(station, from_list, to_list) \
   AF_TRACE_NOW(kSchedMove, station, -1, from_list, to_list, 0)
-// Dispatch records carry their own runtime gate on top of the buffer
-// install check: TraceBuffer::Config::record_dispatch (see there for why —
-// sharded-vs-single trace equivalence).
-#if AIRFAIR_TRACE_ENABLED
-#define AF_TRACE_DISPATCH(t, heap_size)                                       \
-  do {                                                                        \
-    ::airfair::TraceBuffer* af_trace_buf = ::airfair::CurrentTraceBuffer();   \
-    if (af_trace_buf != nullptr && af_trace_buf->record_dispatch()) {         \
-      af_trace_buf->Append((t), ::airfair::TraceEventType::kDispatch, -1, -1, \
-                           (heap_size), 0, 0);                                \
-    }                                                                         \
-  } while (0)
-#else
 #define AF_TRACE_DISPATCH(t, heap_size) \
   AF_TRACE_AT(t, kDispatch, -1, -1, heap_size, 0, 0)
-#endif
 
 #endif  // AIRFAIR_SRC_OBS_TRACE_H_

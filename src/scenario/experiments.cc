@@ -8,7 +8,6 @@
 #include "src/apps/voip.h"
 #include "src/net/tcp.h"
 #include "src/net/udp.h"
-#include "src/sim/shard_mailbox.h"
 
 namespace airfair {
 
@@ -47,17 +46,10 @@ StationMeasurements RunUdpDownload(const TestbedConfig& config, const Experiment
   Testbed tb(config);
   const int n = tb.station_count();
 
-  // Each app is built (and started) under its owner's shard domain so its
-  // timers land in the event loop that owns the state it touches; with
-  // sharding off the scopes are inert (see ScopedShardDomain).
   std::vector<std::unique_ptr<UdpSink>> sinks;
   std::vector<std::unique_ptr<UdpSource>> sources;
   for (int i = 0; i < n; ++i) {
-    {
-      ScopedShardDomain at_station(tb.station_domain(i));
-      sinks.push_back(std::make_unique<UdpSink>(tb.station_host(i), kUdpPort));
-    }
-    ScopedShardDomain at_server(tb.server_domain());
+    sinks.push_back(std::make_unique<UdpSink>(tb.station_host(i), kUdpPort));
     UdpSource::Config src;
     src.rate_bps = offered_bps_per_station;
     sources.push_back(
@@ -104,11 +96,8 @@ StationMeasurements RunTcpDownload(const TestbedConfig& config, const Experiment
     if (!bulk[static_cast<size_t>(i)]) {
       continue;
     }
-    {
-      ScopedShardDomain at_station(tb.station_domain(i));
-      listeners[static_cast<size_t>(i)] =
-          std::make_unique<TcpListener>(tb.station_host(i), kBulkPort, TcpConfig());
-    }
+    listeners[static_cast<size_t>(i)] =
+        std::make_unique<TcpListener>(tb.station_host(i), kBulkPort, TcpConfig());
     // NOTE: the paper's download direction means the *server-side* accepted
     // socket is the receiver of nothing; the station-side accepted socket
     // receives the bytes. Here the server is the connecting side, so the
@@ -116,7 +105,6 @@ StationMeasurements RunTcpDownload(const TestbedConfig& config, const Experiment
     listeners[static_cast<size_t>(i)]->on_accept = [&receivers, i](TcpSocket* s) {
       receivers[static_cast<size_t>(i)] = s;
     };
-    ScopedShardDomain at_server(tb.server_domain());
     auto sender = std::make_unique<TcpSocket>(tb.server_host(), TcpConfig());
     sender->Connect(tb.station_node(i), kBulkPort);
     sender->WriteForever();
@@ -127,15 +115,11 @@ StationMeasurements RunTcpDownload(const TestbedConfig& config, const Experiment
   std::unique_ptr<TcpListener> upload_listener;
   std::vector<std::unique_ptr<TcpSocket>> uploaders;
   if (options.bidirectional) {
-    {
-      ScopedShardDomain at_server(tb.server_domain());
-      upload_listener = std::make_unique<TcpListener>(tb.server_host(), kUploadPort, TcpConfig());
-    }
+    upload_listener = std::make_unique<TcpListener>(tb.server_host(), kUploadPort, TcpConfig());
     for (int i = 0; i < n; ++i) {
       if (!bulk[static_cast<size_t>(i)]) {
         continue;
       }
-      ScopedShardDomain at_station(tb.station_domain(i));
       auto up = std::make_unique<TcpSocket>(tb.station_host(i), TcpConfig());
       up->Connect(tb.server_node(), kUploadPort);
       up->WriteForever();
@@ -149,7 +133,6 @@ StationMeasurements RunTcpDownload(const TestbedConfig& config, const Experiment
     if (!ping[static_cast<size_t>(i)]) {
       continue;
     }
-    ScopedShardDomain at_server(tb.server_domain());
     PingSender::Config cfg;
     cfg.interval = options.ping_interval;
     pings[static_cast<size_t>(i)] =
@@ -214,11 +197,7 @@ SparseStationResult RunSparseStation(uint64_t seed, bool sparse_optimization, bo
   std::vector<std::unique_ptr<UdpSink>> sinks;
   std::vector<std::unique_ptr<UdpSource>> sources;
   for (int i = 0; i < 3; ++i) {
-    {
-      ScopedShardDomain at_station(tb.station_domain(i));
-      sinks.push_back(std::make_unique<UdpSink>(tb.station_host(i), kUdpPort));
-    }
-    ScopedShardDomain at_server(tb.server_domain());
+    sinks.push_back(std::make_unique<UdpSink>(tb.station_host(i), kUdpPort));
     UdpSource::Config src;
     src.rate_bps = 60e6;
     sources.push_back(
@@ -228,10 +207,7 @@ SparseStationResult RunSparseStation(uint64_t seed, bool sparse_optimization, bo
   PingSender::Config ping_cfg;
   ping_cfg.interval = TimeUs::FromMilliseconds(100);
   PingSender ping(tb.server_host(), tb.station_node(3), ping_cfg);
-  {
-    ScopedShardDomain at_server(tb.server_domain());
-    ping.Start();
-  }
+  ping.Start();
 
   tb.sim().RunFor(timing.warmup);
   ping.StartMeasuring(tb.sim().now());
@@ -260,15 +236,11 @@ VoipResult RunVoip(QueueScheme scheme, uint64_t seed, bool vo_marking, TimeUs ba
   std::vector<TcpSocket*> receivers(static_cast<size_t>(n), nullptr);
   std::vector<std::unique_ptr<TcpSocket>> senders;
   for (int i = 0; i < n; ++i) {
-    {
-      ScopedShardDomain at_station(tb.station_domain(i));
-      listeners[static_cast<size_t>(i)] =
-          std::make_unique<TcpListener>(tb.station_host(i), kBulkPort, TcpConfig());
-    }
+    listeners[static_cast<size_t>(i)] =
+        std::make_unique<TcpListener>(tb.station_host(i), kBulkPort, TcpConfig());
     listeners[static_cast<size_t>(i)]->on_accept = [&receivers, i](TcpSocket* s) {
       receivers[static_cast<size_t>(i)] = s;
     };
-    ScopedShardDomain at_server(tb.server_domain());
     auto sender = std::make_unique<TcpSocket>(tb.server_host(), TcpConfig());
     sender->Connect(tb.station_node(i), kBulkPort);
     sender->WriteForever();
@@ -280,10 +252,7 @@ VoipResult RunVoip(QueueScheme scheme, uint64_t seed, bool vo_marking, TimeUs ba
   VoipSource::Config voip_cfg;
   voip_cfg.tid = vo_marking ? kVoiceTid : kBestEffortTid;
   VoipSource voip(tb.server_host(), tb.station_node(slow_index), kVoipPort, voip_cfg);
-  {
-    ScopedShardDomain at_server(tb.server_domain());
-    voip.Start();
-  }
+  voip.Start();
 
   tb.sim().RunFor(timing.warmup);
   tb.StartMeasurement();
@@ -328,12 +297,8 @@ WebResult RunWeb(QueueScheme scheme, uint64_t seed, const WebPage& page, bool sl
   std::vector<std::unique_ptr<TcpListener>> listeners;
   std::vector<std::unique_ptr<TcpSocket>> senders;
   for (int i : bulk_stations) {
-    {
-      ScopedShardDomain at_station(tb.station_domain(i));
-      listeners.push_back(
-          std::make_unique<TcpListener>(tb.station_host(i), kBulkPort, TcpConfig()));
-    }
-    ScopedShardDomain at_server(tb.server_domain());
+    listeners.push_back(
+        std::make_unique<TcpListener>(tb.station_host(i), kBulkPort, TcpConfig()));
     auto sender = std::make_unique<TcpSocket>(tb.server_host(), TcpConfig());
     sender->Connect(tb.station_node(i), kBulkPort);
     sender->WriteForever();
@@ -352,9 +317,6 @@ WebResult RunWeb(QueueScheme scheme, uint64_t seed, const WebPage& page, bool sl
   tb.sim().RunFor(TimeUs::FromSeconds(2));
 
   std::function<void()> start_fetch = [&] {
-    // Fetches initiate from the browsing station's domain (the fetch opens
-    // a socket on the client host).
-    ScopedShardDomain at_client(tb.station_domain(client_index));
     fetch_in_progress = true;
     client.Fetch(page, [&](TimeUs plt) {
       plt_sum_s += plt.ToSeconds();

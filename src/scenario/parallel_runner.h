@@ -20,9 +20,8 @@
 // translation unit is a *thread-entry* TU under airfair_lint's
 // domain-crossing rule: it may not name event-loop-domain types except
 // through the gateway whitelist (tools/analyze/domain_gateways.txt), which
-// is what keeps the runner a pure job scheduler. A future sharded event
-// loop must extend the gateway list explicitly rather than reaching into
-// core types ad hoc.
+// is what keeps the runner a pure job scheduler. Repetitions are the only
+// parallelism: one run is one EventLoop on one thread (DESIGN.md §9).
 
 #ifndef AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_
 #define AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_

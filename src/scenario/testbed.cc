@@ -61,25 +61,6 @@ bool PacketPoolEnabledByDefault() {
   return env == nullptr || std::string(env) != "0";
 }
 
-int ShardCountFromEnv() {
-  const char* env = std::getenv("AIRFAIR_SHARDS");
-  if (env == nullptr) {
-    return 1;
-  }
-  const int shards = std::atoi(env);
-  return std::clamp(shards, 1, kMaxShardDomains);
-}
-
-TimeUs HostBusDelayFromEnv(int shards) {
-  if (const char* env = std::getenv("AIRFAIR_HOST_BUS_US"); env != nullptr) {
-    return TimeUs(std::max(0, std::atoi(env)));
-  }
-  // Beyond the MAC/server split, extra shards hold station hosts — which
-  // need a nonzero bus delay between host and MAC to be schedulable in
-  // separate lookahead windows at all.
-  return shards > 2 ? TimeUs::FromMicroseconds(100) : TimeUs::Zero();
-}
-
 namespace {
 
 // Packet-pool chunk size scaled with the topology: the default 256-packet
@@ -92,36 +73,12 @@ int DerivedChunkPackets(const TestbedConfig& config) {
                   16 * static_cast<int>(config.stations.size()));
 }
 
-// Cross-domain mailbox capacity scaled with the topology: every station can
-// have a handful of host-bus / wire crossings in flight per lookahead
-// window, so a hard 4Ki ceiling that was ample for 8 stations starves at
-// 256. 64 entries of headroom per station, floored at the former default.
-size_t DerivedMailboxCapacity(const TestbedConfig& config) {
-  return std::max<size_t>(size_t{1} << 12, 64 * config.stations.size());
-}
-
 }  // namespace
 
 Testbed::Testbed(const TestbedConfig& config)
     : packet_pool_(DerivedChunkPackets(config)), sim_(config.seed), medium_(&sim_) {
-  // Partition into shard domains before anything is scheduled. The lookahead
-  // window is the minimum delay a cross-domain event can travel: the wired
-  // link's one-way delay (server <-> AP) and, when station hosts live in
-  // their own domains, the host bus delay.
-  shards_ = std::clamp(config.shards, 1, kMaxShardDomains);
-  host_bus_ = config.host_bus_delay.us() < 0 ? HostBusDelayFromEnv(shards_)
-                                             : config.host_bus_delay;
-  if (shards_ > 1) {
-    TimeUs lookahead = config.wire.one_way_delay;
-    if (host_bus_.us() > 0) {
-      lookahead = std::min(lookahead, host_bus_);
-    }
-    AF_CHECK_GT(lookahead.us(), 0)
-        << " sharding needs a positive cross-domain delay to derive the"
-           " lookahead window from";
-    sim_.EnableSharding(shards_, lookahead, DerivedMailboxCapacity(config));
-    server_domain_ = 1;
-  }
+  AF_CHECK_EQ(config.shards, 1) << " a run is one event loop";
+  AF_CHECK_EQ(config.host_bus_delay.us(), 0) << " station hosts have no bus delay";
 
   PacketPool* pool = config.packet_pool ? &packet_pool_ : nullptr;
 
@@ -162,28 +119,13 @@ Testbed::Testbed(const TestbedConfig& config)
     auto station = std::make_unique<WifiStation>(&sim_, &medium_, &station_table_,
                                                  static_cast<StationId>(i), ap_node());
     WifiStation* raw = station.get();
-    if (host_bus_.us() > 0) {
-      // Host -> MAC crosses the bus: same delay whether or not the host
-      // lives in its own shard domain, so results never depend on shards.
-      Simulation* sim = &sim_;
-      const TimeUs bus = host_bus_;
-      station_hosts_[i]->set_egress([sim, raw, bus](PacketPtr packet) {
-        sim->PostCrossAfter(0, bus, [raw, p = std::move(packet)]() mutable {
-          raw->SendUplink(std::move(p));
-        });
-      });
-    } else {
-      station_hosts_[i]->set_egress(
-          [raw](PacketPtr packet) { raw->SendUplink(std::move(packet)); });
-    }
+    station_hosts_[i]->set_egress(
+        [raw](PacketPtr packet) { raw->SendUplink(std::move(packet)); });
     wifi_stations_.push_back(std::move(station));
   }
 
-  // Wired hop: server <-> AP. The server side lives in server_domain(); the
-  // link's deliveries cross domains through the mailbox gateway.
+  // Wired hop: server <-> AP.
   link_ = std::make_unique<WiredLink>(&sim_, config.wire);
-  link_->forward().set_remote_domain(0);
-  link_->reverse().set_remote_domain(server_domain_);
   server_host_->set_egress(
       [this](PacketPtr packet) { link_->forward().Send(std::move(packet)); });
   link_->forward().set_deliver([this](PacketPtr packet) { ap_->FromWire(std::move(packet)); });
@@ -195,21 +137,8 @@ Testbed::Testbed(const TestbedConfig& config)
   // MAC retries do not surface as transport-level reordering.
   for (size_t i = 0; i < config.stations.size(); ++i) {
     Host* host = station_hosts_[i].get();
-    if (host_bus_.us() > 0) {
-      // MAC -> host crosses the bus into the station's home domain.
-      Simulation* sim = &sim_;
-      const TimeUs bus = host_bus_;
-      const int domain = station_domain(static_cast<int>(i));
-      reorder_.push_back(std::make_unique<ReorderBuffer>(
-          &sim_, [sim, host, bus, domain](PacketPtr packet) {
-            sim->PostCrossAfter(domain, bus, [host, p = std::move(packet)]() mutable {
-              host->Deliver(std::move(p));
-            });
-          }));
-    } else {
-      reorder_.push_back(std::make_unique<ReorderBuffer>(
-          &sim_, [host](PacketPtr packet) { host->Deliver(std::move(packet)); }));
-    }
+    reorder_.push_back(std::make_unique<ReorderBuffer>(
+        &sim_, [host](PacketPtr packet) { host->Deliver(std::move(packet)); }));
   }
   reorder_.push_back(std::make_unique<ReorderBuffer>(
       &sim_, [this](PacketPtr packet) { ap_->FromWifi(std::move(packet)); }));
@@ -322,10 +251,9 @@ Testbed::~Testbed() {
     // the thread that ran BuildTrace. Restoring them from a different
     // thread would silently clobber that thread's hooks and leave the
     // installing thread's slot dangling at a freed buffer — a latent
-    // use-after-free once testbeds migrate between threads (exactly what a
-    // sharded event loop would do). Fail fast instead: a traced testbed
-    // must be destroyed on the thread that built it
-    // (tests/obs_trace_test.cc TracedTestbedCrossThreadDestructionChecked).
+    // use-after-free once testbeds migrate between threads. Fail fast
+    // instead: a traced testbed must be destroyed on the thread that built
+    // it (tests/obs_trace_test.cc TracedTestbedCrossThreadDestructionChecked).
     AF_CHECK(std::this_thread::get_id() == obs_thread_)
         << "traced Testbed destroyed on a different thread than the one "
            "that installed its thread-local observability hooks";
@@ -389,8 +317,6 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   }
   TraceBuffer::Config trace_config = config.trace_config;
   trace_config.capacity = TraceRingCapacityFromEnv(trace_config.capacity);
-  trace_config.record_dispatch =
-      trace_config.record_dispatch && TraceDispatchEnabledFromEnv();
   // Intern slots scale with the topology instead of a hard 256: every
   // per-station instrumentation site that labels records gets a slot with
   // headroom, so a 256-station run cannot silently exhaust the table
@@ -399,8 +325,6 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
       std::max(trace_config.intern_capacity, 64 + 2 * config.stations.size());
   trace_ = std::make_unique<TraceBuffer>(trace_config);
   obs_thread_ = std::this_thread::get_id();
-  // Routed clock: trace records appended from a domain's events carry that
-  // domain's time (identical to the single loop when sharding is off).
   Simulation* sim = &sim_;
   trace_->set_clock([sim] { return sim->now(); });
   prev_trace_ = SetCurrentTraceBuffer(trace_.get());
@@ -597,9 +521,6 @@ void Testbed::BuildAuditor(const TestbedConfig& config) {
   if (const char* env = std::getenv("AIRFAIR_AUDIT_WALL_MS"); env != nullptr) {
     audit_config.min_wall_interval_ms = std::atof(env);
   }
-  // sim_.loop() is the control loop when sharded: sweeps always execute at
-  // serial instants, where cross-domain reads (the conservation ledger, the
-  // event-loop heaps) are safe and every heap is canonically numbered.
   auditor_ = std::make_unique<Auditor>(&sim_.loop(), audit_config);
   // Failure messages gain simulated-timestamp context while this testbed is
   // alive (cleared in the destructor).
@@ -607,17 +528,6 @@ void Testbed::BuildAuditor(const TestbedConfig& config) {
   SetCheckTimeProvider([sim] { return sim->now(); });
 
   auditor_->WatchEventLoop();
-  if (sim_.sharded()) {
-    // Sweeps run at serial instants, where every domain heap is quiescent
-    // and canonically numbered — audit them all, not just the control loop.
-    for (int d = 0; d < shards_; ++d) {
-      const EventLoop* domain_loop = &sim_.domain_loop(d);
-      auditor_->AddCheck("event_loop.domain" + std::to_string(d),
-                         [domain_loop](const Auditor::FailFn& fail) {
-                           domain_loop->CheckInvariants(fail);
-                         });
-    }
-  }
   if (ledger_ != nullptr) {
     PacketLedger* ledger = ledger_.get();
     auditor_->AddCheck("conservation", [ledger](const Auditor::FailFn& fail) {

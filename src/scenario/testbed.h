@@ -75,17 +75,6 @@ std::vector<StationSpec> ThreeStationSetup();
 // True unless the AIRFAIR_PACKET_POOL environment variable is set to "0".
 bool PacketPoolEnabledByDefault();
 
-// Shard-domain count for new testbeds: AIRFAIR_SHARDS (clamped to
-// [1, kMaxShardDomains]), default 1 = the single-threaded loop, untouched.
-int ShardCountFromEnv();
-
-// Station-host bus delay: AIRFAIR_HOST_BUS_US. Defaults to 100 us when
-// `shards` > 2 (distributing station hosts across their own domains needs a
-// nonzero host<->MAC delay to derive lookahead from) and 0 otherwise. The
-// delay is applied identically in sharded and unsharded runs, so results
-// depend only on the configured delay — never on the shard count.
-TimeUs HostBusDelayFromEnv(int shards);
-
 struct TestbedConfig {
   uint64_t seed = 1;
   QueueScheme scheme = QueueScheme::kFifo;
@@ -127,21 +116,15 @@ struct TestbedConfig {
   // interval; override at runtime with AIRFAIR_SAMPLE_INTERVAL_MS.
   TimeUs sample_interval = TimeUs::FromMilliseconds(10);
 
-  // Intra-simulation parallelism (src/sim/sharded_loop.h). shards > 1
-  // partitions the testbed into event-loop domains — domain 0: medium, MACs,
-  // qdiscs, reorder (+ station hosts unless host_bus_delay > 0); domain 1:
-  // server host and the wired link's server side; domains 2+: station hosts,
-  // round-robin — run in parallel conservative lookahead windows derived
-  // from the wired-link/host-bus delays. Results are bit-identical to
-  // shards = 1 (tests/sim_sharded_loop_test.cc). Default from AIRFAIR_SHARDS.
-  int shards = ShardCountFromEnv();
-  // Station host <-> MAC bus delay; negative = auto (HostBusDelayFromEnv).
-  TimeUs host_bus_delay = TimeUs(-1);
+  // Must stay 1 and zero: a run is one event loop, and station hosts hand
+  // packets straight to their MACs. The fields remain only because
+  // perfbench/src/workloads.cc assigns them; the Testbed checks both.
+  int shards = 1;
+  TimeUs host_bus_delay = TimeUs::Zero();
   // Fault-injection perturbation schedule (src/fault): station churn,
-  // Gilbert-Elliott burst loss and rate fades, replayed as control-loop
-  // events (serial instants under sharding, so faulted runs stay
-  // bit-identical across AIRFAIR_SHARDS). Defaults to the
-  // AIRFAIR_FAULT_SCHEDULE environment schedule; empty = no injection.
+  // Gilbert-Elliott burst loss and rate fades, replayed as events on the
+  // simulation's loop. Defaults to the AIRFAIR_FAULT_SCHEDULE environment
+  // schedule; empty = no injection.
   FaultPlan faults = FaultPlanFromEnv();
   // Seed for the burst-loss chains. 0 = AIRFAIR_CHURN_SEED, falling back to
   // a derivation from `seed` (see ChurnSeedFromEnv).
@@ -213,21 +196,6 @@ class Testbed {
   // The fault injector, or nullptr when the config carries no fault plan.
   FaultInjector* fault_injector() { return fault_.get(); }
 
-  // --- shard-domain partition (1 shard: everything is domain 0) ---
-  int shards() const { return shards_; }
-  TimeUs host_bus_delay() const { return host_bus_; }
-  // The server host / TCP senders / app sources live here; experiment setup
-  // wraps server-side app construction in ScopedShardDomain(server_domain()).
-  int server_domain() const { return server_domain_; }
-  // Station i's host-side domain (apps, sinks). Stations spread over domains
-  // 2+ only when they are separated from the MAC by a host bus.
-  int station_domain(int i) const {
-    if (shards_ > 2 && host_bus_.us() > 0) {
-      return 2 + (i % (shards_ - 2));
-    }
-    return 0;
-  }
-
  private:
   void BuildBackend(const TestbedConfig& config);
   void BuildLedger(const TestbedConfig& config);
@@ -274,9 +242,6 @@ class Testbed {
   // Non-owning views of the backend for audit registration.
   MacQueueBackend* mac_backend_ = nullptr;
   QdiscBackend* qdisc_backend_ = nullptr;
-  int shards_ = 1;
-  TimeUs host_bus_ = TimeUs::Zero();
-  int server_domain_ = 0;
   TimeUs measurement_start_;
   std::vector<TimeUs> airtime_baseline_;
 

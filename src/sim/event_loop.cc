@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/obs/trace.h"
-#include "src/sim/shard_mailbox.h"
 #include "src/util/check.h"
 #include "src/util/stats.h"
 
@@ -20,30 +19,7 @@ EventLoop::~EventLoop() {
   GetCounter("sim.events.detached").Increment(detached_events_);
   GetCounter("sim.tokens.created").Increment(tokens_created_);
   GetCounter("sim.tokens.recycled").Increment(tokens_recycled_);
-  if (publish_time_) {
-    GetCounter("sim.simulated_us").Increment(now_.us());
-  }
-}
-
-uint64_t EventLoop::NextSeq() {
-  if (shard_window_ == nullptr) {
-    return (*seq_source_)++;
-  }
-  // Inside a lookahead window: record the post (call order == the order the
-  // single-threaded loop would number it in) and hand out a provisional seq.
-  shard_window_->posts.push_back(ShardPostRecord{});
-  return kShardProvisionalSeqBase +
-         static_cast<uint64_t>(shard_window_->posts.size() - 1);
-}
-
-void EventLoop::SetSharedSeqSource(uint64_t* source) {
-  if (source != nullptr) {
-    AF_CHECK(heap_.empty())
-        << " cannot switch seq numbering with events pending";
-    seq_source_ = source;
-  } else {
-    seq_source_ = &next_seq_;
-  }
+  GetCounter("sim.simulated_us").Increment(now_.us());
 }
 
 CancelToken EventLoop::AcquireToken() {
@@ -73,7 +49,7 @@ EventHandle EventLoop::ScheduleAt(TimeUs when, EventFn fn) {
   CancelToken cancelled = AcquireToken();
   EventHandle handle(cancelled);
   ++scheduled_events_;
-  heap_.push_back(Event{when, NextSeq(), std::move(fn), std::move(cancelled)});
+  heap_.push_back(Event{when, next_seq_++, std::move(fn), std::move(cancelled)});
   std::push_heap(heap_.begin(), heap_.end(), EventAfter());
   return handle;
 }
@@ -82,7 +58,7 @@ void EventLoop::PostAt(TimeUs when, EventFn fn) {
   AF_CHECK_GE(when.us(), now_.us()) << " cannot schedule in the past";
   ++scheduled_events_;
   ++detached_events_;
-  heap_.push_back(Event{when, NextSeq(), std::move(fn), nullptr});
+  heap_.push_back(Event{when, next_seq_++, std::move(fn), nullptr});
   std::push_heap(heap_.begin(), heap_.end(), EventAfter());
 }
 
@@ -125,104 +101,6 @@ void EventLoop::RunUntil(TimeUs end) {
   if (now_ < end) {
     now_ = end;
   }
-}
-
-void EventLoop::RunWindow(TimeUs end) {
-  ShardWindowState* window = shard_window_;
-  AF_DCHECK(window != nullptr) << " RunWindow requires an installed window";
-  AF_DCHECK_GE(end.us(), now_.us()) << " window ends in the past";
-  while (!heap_.empty() && heap_.front().when < end) {
-    Event event = PopTop();
-    AF_DCHECK_GE(event.when.us(), now_.us()) << " event-loop time went backwards";
-    now_ = event.when;
-    const uint32_t first_post = static_cast<uint32_t>(window->posts.size());
-    bool ran = false;
-    if (event.cancelled == nullptr) {
-      last_dispatched_ = event.when;
-      ++dispatched_events_;
-      AF_TRACE_DISPATCH(now_, static_cast<int64_t>(heap_.size()));
-      event.fn();
-      ran = true;
-    } else {
-      if (!*event.cancelled) {
-        *event.cancelled = true;
-        last_dispatched_ = event.when;
-        ++dispatched_events_;
-        AF_TRACE_DISPATCH(now_, static_cast<int64_t>(heap_.size()));
-        event.fn();
-        ran = true;
-      }
-      ReleaseToken(std::move(event.cancelled));
-    }
-    // Only dispatches that posted need canonical numbers assigned by the
-    // merge; everything else stays out of the log.
-    const uint32_t post_count =
-        static_cast<uint32_t>(window->posts.size()) - first_post;
-    if (ran && post_count > 0) {
-      window->log.push_back(
-          ShardDispatchEntry{event.when.us(), event.seq, first_post, post_count});
-    }
-  }
-  now_ = end;
-}
-
-void EventLoop::PatchShardSeqs(const ShardWindowState& window) {
-  for (Event& event : heap_) {
-    if (event.seq >= kShardProvisionalSeqBase) {
-      const ShardPostRecord& record =
-          window.posts[event.seq - kShardProvisionalSeqBase];
-      AF_DCHECK_NE(record.canonical, uint64_t{0})
-          << " merge left a provisional seq unresolved in domain "
-          << window.domain;
-      event.seq = record.canonical;
-    }
-  }
-}
-
-void EventLoop::InjectCanonical(TimeUs when, uint64_t seq, EventFn fn) {
-  AF_DCHECK_GE(when.us(), now_.us())
-      << " merged cross-domain event lands in the past";
-  ++scheduled_events_;
-  ++detached_events_;
-  heap_.push_back(Event{when, seq, std::move(fn), nullptr});
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter());
-}
-
-bool EventLoop::PeekTop(TimeUs* when, uint64_t* seq) const {
-  if (heap_.empty()) {
-    return false;
-  }
-  *when = heap_.front().when;
-  *seq = heap_.front().seq;
-  return true;
-}
-
-void EventLoop::RunTop() {
-  AF_DCHECK(!heap_.empty()) << " RunTop on an empty queue";
-  Event event = PopTop();
-  AF_DCHECK_GE(event.when.us(), now_.us()) << " event-loop time went backwards";
-  now_ = event.when;
-  if (event.cancelled != nullptr) {
-    if (*event.cancelled) {
-      ReleaseToken(std::move(event.cancelled));
-      return;
-    }
-    *event.cancelled = true;
-  }
-  last_dispatched_ = event.when;
-  ++dispatched_events_;
-  AF_TRACE_DISPATCH(now_, static_cast<int64_t>(heap_.size()));
-  event.fn();
-  if (event.cancelled != nullptr) {
-    ReleaseToken(std::move(event.cancelled));
-  }
-}
-
-void EventLoop::AdvanceTo(TimeUs t) {
-  AF_DCHECK_GE(t.us(), now_.us()) << " cannot advance the clock backwards";
-  AF_DCHECK(heap_.empty() || heap_.front().when >= t)
-      << " advancing the clock over a pending event";
-  now_ = t;
 }
 
 bool EventLoop::RunOne() {
@@ -270,10 +148,10 @@ int EventLoop::CheckInvariants(AuditFailFn fail) const {
          << "us now=" << now_.us() << "us";
       report(os.str());
     }
-    if (event.seq >= *seq_source_) {
+    if (event.seq >= next_seq_) {
       std::ostringstream os;
       os << "pending event at index " << i << " has unissued seq " << event.seq
-         << " (next_seq=" << *seq_source_ << ")";
+         << " (next_seq=" << next_seq_ << ")";
       report(os.str());
     }
   }

@@ -36,8 +36,6 @@
 
 namespace airfair {
 
-struct ShardWindowState;
-
 // Callable type stored per event. 48 inline bytes comfortably fits the
 // simulator's hot-path closures (a this-pointer, a moved PacketPtr, and a
 // couple of scalars); anything larger transparently falls back to the heap.
@@ -137,11 +135,6 @@ class EventLoop {
   int CheckInvariants(AuditFailFn fail) const;
 
  private:
-  // The sharded loop (src/sim/sharded_loop.h) drives several EventLoops in
-  // lockstep lookahead windows; it needs the window/merge hooks below but
-  // nothing else does, so they stay private.
-  friend class ShardedEventLoop;
-
   struct Event {
     TimeUs when;
     uint64_t seq;
@@ -163,53 +156,6 @@ class EventLoop {
   // Removes and returns the earliest event.
   Event PopTop();
 
-  // Issues the next sequence number. Unsharded: a monotone per-loop (or, in
-  // sharded mode, shared canonical) counter. Inside a lookahead window
-  // (shard_window_ set): a provisional seq recorded in the window state; the
-  // barrier merge later assigns the canonical number (see shard_mailbox.h).
-  uint64_t NextSeq();
-
-  // --- Sharded-window hooks (ShardedEventLoop only) ---
-
-  // Points sequence numbering at a shared canonical counter (all loops of a
-  // sharded simulation number events from one space, as the single-threaded
-  // loop would). Null restores the loop's own counter. Requires an empty
-  // queue when installing a shared source.
-  void SetSharedSeqSource(uint64_t* source);
-
-  // Installs (or clears) the window state that NextSeq and RunWindow record
-  // into while a lookahead window executes on the owning thread.
-  void set_shard_window(ShardWindowState* window) { shard_window_ = window; }
-
-  // Dispatches every event with when < end (strictly — the window end itself
-  // belongs to the next window or to a serial instant), logging dispatches
-  // that post into shard_window_. Leaves now() == end.
-  void RunWindow(TimeUs end);
-
-  // Rewrites provisional sequence numbers left in the heap by the last
-  // window to the canonical numbers the merge assigned. The rewrite is
-  // monotone (post-index order == canonical order within a domain), so the
-  // heap property survives without re-heapifying.
-  void PatchShardSeqs(const ShardWindowState& window);
-
-  // Inserts a merged cross-domain event carrying an already-assigned
-  // canonical seq.
-  void InjectCanonical(TimeUs when, uint64_t seq, EventFn fn);
-
-  // Top-of-heap peek / single-event step for the serial instants where the
-  // coordinator interleaves all domains at one timestamp. RunTop pops the
-  // top event and dispatches it (or just recycles it if cancelled).
-  bool PeekTop(TimeUs* when, uint64_t* seq) const;
-  void RunTop();
-
-  // Advances the clock over a known-empty stretch (t must not step over any
-  // pending event).
-  void AdvanceTo(TimeUs t);
-
-  // Extra loops of a sharded simulation share one simulated clock; only the
-  // primary publishes sim.simulated_us at teardown.
-  void set_publish_time(bool publish) { publish_time_ = publish; }
-
   // Token free list: AcquireToken reuses a previously released token when
   // possible; ReleaseToken returns a token to the pool iff the loop holds
   // the only reference (no live EventHandle still observes it).
@@ -224,11 +170,6 @@ class EventLoop {
   int64_t tokens_created_ = 0;
   int64_t tokens_recycled_ = 0;
   uint64_t next_seq_ = 0;
-  // Where sequence numbers come from: the loop's own counter by default, a
-  // shared canonical counter in sharded mode.
-  uint64_t* seq_source_ = &next_seq_;
-  ShardWindowState* shard_window_ = nullptr;
-  bool publish_time_ = true;
   std::vector<Event> heap_;
   std::vector<CancelToken> token_pool_;
 };

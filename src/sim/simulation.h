@@ -3,28 +3,15 @@
 // Every component that needs time or randomness receives a Simulation*
 // (non-owning); the scenario layer owns the Simulation for the duration of a
 // run.
-//
-// Sharded mode (EnableSharding): the simulation is partitioned into domains
-// run in parallel lookahead windows by a ShardedEventLoop — see
-// src/sim/sharded_loop.h for the model and the determinism argument. All the
-// accessors below route through the calling thread's domain context
-// (CurrentShardDomain), so component code is written exactly once: a
-// component constructed under ScopedShardDomain(d) posts into domain d's
-// queue and reads domain d's clock, and with sharding off everything
-// collapses to the single EventLoop with zero overhead.
 
 #ifndef AIRFAIR_SRC_SIM_SIMULATION_H_
 #define AIRFAIR_SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "src/sim/event_loop.h"
-#include "src/sim/shard_mailbox.h"
-#include "src/sim/sharded_loop.h"
 #include "src/util/attributes.h"
-#include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/time.h"
 
@@ -37,97 +24,30 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  // Splits the simulation into `shards` domains run in parallel conservative
-  // lookahead windows. Must be called before anything is scheduled.
-  // `lookahead` is the minimum delay of any cross-domain path (wired-link
-  // one-way delay, host-bus delay); results stay bit-identical to the
-  // unsharded run.
-  void EnableSharding(int shards, TimeUs lookahead,
-                      size_t mailbox_capacity = 1 << 12) {
-    AF_CHECK(sharded_ == nullptr) << " sharding already enabled";
-    AF_CHECK_EQ(loop_.scheduled_events(), 0)
-        << " sharding must be enabled before any event is scheduled";
-    ShardedEventLoop::Config config;
-    config.shards = shards;
-    config.lookahead = lookahead;
-    config.mailbox_capacity = mailbox_capacity;
-    sharded_ = std::make_unique<ShardedEventLoop>(&loop_, config);
-  }
-
-  bool sharded() const { return sharded_ != nullptr; }
-  ShardedEventLoop* sharded_loop() { return sharded_.get(); }
-
-  // Unsharded: the one EventLoop. Sharded: the control loop — the right home
-  // for timers that must observe cross-domain state (the auditor), which the
-  // coordinator always runs serially between windows.
-  EventLoop& loop() { return sharded_ ? sharded_->control() : loop_; }
-
-  // The event loop owning domain `d`'s components (domain 0 unsharded).
-  EventLoop& domain_loop(int domain) {
-    return sharded_ ? sharded_->domain(domain) : loop_;
-  }
+  EventLoop& loop() { return loop_; }
 
   Rng& rng() { return rng_; }
 
-  // The calling context's clock: inside an event, the executing domain's
-  // time; between runs, the global fence.
-  TimeUs now() const { return sharded_ ? sharded_->ContextNow() : loop_.now(); }
+  TimeUs now() const { return loop_.now(); }
 
   AF_NODISCARD EventHandle At(TimeUs when, EventFn fn) {
-    return context_loop().ScheduleAt(when, std::move(fn));
+    return loop_.ScheduleAt(when, std::move(fn));
   }
   AF_NODISCARD EventHandle After(TimeUs delay, EventFn fn) {
-    return context_loop().ScheduleAfter(delay, std::move(fn));
+    return loop_.ScheduleAfter(delay, std::move(fn));
   }
 
   // Fire-and-forget variants: no handle, no cancellation token, and (for
   // closures within EventFn's inline buffer) no heap allocation at all.
-  void PostAt(TimeUs when, EventFn fn) {
-    context_loop().PostAt(when, std::move(fn));
-  }
-  void PostAfter(TimeUs delay, EventFn fn) {
-    context_loop().PostAfter(delay, std::move(fn));
-  }
-
-  // Cross-domain posting: the only sanctioned way for one domain's event to
-  // reach another domain (the lint rule shard-gateway-discipline enforces
-  // this). `delay` must be at least the sharding lookahead. Unsharded, these
-  // are plain Post* — callers need no mode check.
-  void PostCrossAt(int domain, TimeUs when, EventFn fn) {
-    if (sharded_ == nullptr) {
-      loop_.PostAt(when, std::move(fn));
-      return;
-    }
-    sharded_->PostCrossAt(domain, when, std::move(fn));
-  }
-  void PostCrossAfter(int domain, TimeUs delay, EventFn fn) {
-    PostCrossAt(domain, now() + delay, std::move(fn));
-  }
+  void PostAt(TimeUs when, EventFn fn) { loop_.PostAt(when, std::move(fn)); }
+  void PostAfter(TimeUs delay, EventFn fn) { loop_.PostAfter(delay, std::move(fn)); }
 
   void RunFor(TimeUs duration) { RunUntil(now() + duration); }
-  void RunUntil(TimeUs end) {
-    if (sharded_ == nullptr) {
-      loop_.RunUntil(end);
-      return;
-    }
-    sharded_->RunUntil(end);
-  }
+  void RunUntil(TimeUs end) { loop_.RunUntil(end); }
 
  private:
-  EventLoop& context_loop() {
-    if (sharded_ == nullptr) {
-      return loop_;
-    }
-    const int domain = CurrentShardDomain();
-    return domain == kControlShardDomain ? sharded_->control()
-                                         : sharded_->domain(domain);
-  }
-
   EventLoop loop_;
   Rng rng_;
-  // Declared last: destroyed first, which joins the worker threads and
-  // detaches the shared sequence counter before loop_ goes away.
-  std::unique_ptr<ShardedEventLoop> sharded_;
 };
 
 }  // namespace airfair

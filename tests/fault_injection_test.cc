@@ -2,19 +2,24 @@
 // Gilbert-Elliott chain determinism, and the injector's churn / burst /
 // fade perturbations applied to a live testbed — including the conservation
 // property that makes churn auditable: every packet destroyed by a teardown
-// is accounted as `drained`, so the ledger still balances mid-churn.
+// is accounted as `drained`, so the ledger still balances mid-churn. The
+// last section pins run-level determinism: faulted and traced runs repeat
+// byte-for-byte and do not depend on the packet pool.
 
 #include "src/fault/fault_injector.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/fault/fault_schedule.h"
 #include "src/fault/gilbert_elliott.h"
 #include "src/net/udp.h"
+#include "src/scenario/experiments.h"
 #include "src/scenario/testbed.h"
 #include "tools/analyze/trace_stats.h"
 
@@ -355,6 +360,142 @@ TEST(FaultInjection, WindowedJainCountsOnlyPresentStationsByDefault) {
   const double full_roster = tail_jain(false, "full");
   EXPECT_GT(active_only, 0.95);
   EXPECT_NEAR(full_roster, 2.0 / 3.0, 0.05);
+}
+
+// --- Determinism of faulted and traced runs ---
+
+// Short warmup/measure: determinism needs identical dispatch histories, not
+// steady state.
+ExperimentTiming ShortTiming() {
+  ExperimentTiming timing;
+  timing.warmup = 100_ms;
+  timing.measure = 300_ms;
+  return timing;
+}
+
+// Every fault kind inside ShortTiming's 400 ms span: a leave/rejoin cycle on
+// station 1, a burst-loss window on station 2 and a fade-and-restore on
+// station 0.
+TestbedConfig EveryFaultKindConfig(bool pool) {
+  TestbedConfig config;
+  config.seed = 23;
+  config.scheme = QueueScheme::kAirtimeFair;
+  config.packet_pool = pool;
+  config.faults = FaultPlan()
+                      .Leave(1, 120_ms)
+                      .Join(1, 240_ms)
+                      .Burst(2, 150_ms, 80_ms, 0.8)
+                      .Fade(0, 180_ms, /*mcs=*/0, /*restore_after=*/120_ms);
+  config.churn_seed = 77;  // Pin it: the env fallback would vary per machine.
+  return config;
+}
+
+void ExpectMeasurementsIdentical(const StationMeasurements& a, const StationMeasurements& b) {
+  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
+  EXPECT_EQ(a.airtime_share, b.airtime_share);
+  EXPECT_EQ(a.mean_aggregation, b.mean_aggregation);
+  EXPECT_EQ(a.jain_airtime, b.jain_airtime);
+  EXPECT_EQ(a.total_throughput_mbps, b.total_throughput_mbps);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(FaultDeterminism, FaultedRunIdenticalWithPoolOnAndOff) {
+  // Every teardown/rejoin mutates station, AP and reorder state; none of it
+  // may depend on how packets are allocated. No tolerances.
+  ExpectMeasurementsIdentical(RunUdpDownload(EveryFaultKindConfig(true), ShortTiming(), 30e6),
+                              RunUdpDownload(EveryFaultKindConfig(false), ShortTiming(), 30e6));
+}
+
+TEST(FaultDeterminism, FaultedTimeseriesRepeatsWithMarksAtScheduledInstants) {
+  // The churn analysis pipeline end to end: a faulted run exports the same
+  // timeseries bytes every time — including the perturbation marks
+  // trace_stats gates reconvergence on — and the marks land at the scheduled
+  // instants with the right kind codes.
+  const std::string dir = ::testing::TempDir();
+  const auto run = [&](const std::string& tag) {
+    const std::string path = dir + "faulted_series_" + tag + ".jsonl";
+    ::setenv("AIRFAIR_TIMESERIES_JSON", path.c_str(), /*overwrite=*/1);
+    RunUdpDownload(EveryFaultKindConfig(true), ShortTiming(), 30e6);
+    ::unsetenv("AIRFAIR_TIMESERIES_JSON");
+    return path;
+  };
+  const std::string first = run("first");
+  const std::string first_bytes = ReadFileBytes(first);
+  ASSERT_FALSE(first_bytes.empty());
+  EXPECT_EQ(first_bytes, ReadFileBytes(run("second")));
+
+  std::string error;
+  analyze::TimeseriesData ts;
+  ASSERT_TRUE(analyze::LoadTimeseriesJsonl(first, &ts, &error)) << error;
+  const auto marks = ts.series.find(analyze::kPerturbationSeries);
+  ASSERT_NE(marks, ts.series.end());
+  // Five reconvergence marks: leave, fade apply, burst end, join, fade
+  // restore — and one onset mark at the burst start.
+  ASSERT_EQ(marks->second.size(), 5u);
+  EXPECT_EQ(marks->second[0].first, (120_ms).us());  // leave
+  EXPECT_EQ(marks->second[0].second, 1.0);
+  EXPECT_EQ(marks->second[1].first, (180_ms).us());  // fade apply
+  EXPECT_EQ(marks->second[1].second, 4.0);
+  EXPECT_EQ(marks->second[2].first, (230_ms).us());  // burst end
+  EXPECT_EQ(marks->second[2].second, 3.0);
+  EXPECT_EQ(marks->second[3].first, (240_ms).us());  // join
+  EXPECT_EQ(marks->second[3].second, 2.0);
+  EXPECT_EQ(marks->second[4].first, (300_ms).us());  // fade restore
+  EXPECT_EQ(marks->second[4].second, 4.0);
+  const auto onsets = ts.series.find("perturbation_onset");
+  ASSERT_NE(onsets, ts.series.end());
+  ASSERT_EQ(onsets->second.size(), 1u);
+  EXPECT_EQ(onsets->second[0].first, (150_ms).us());  // burst start
+  EXPECT_EQ(onsets->second[0].second, 3.0);
+}
+
+TEST(PoolDeterminism, TracedTcpRunExportsIdenticalArtifactsWithPoolOnAndOff) {
+  // The observability artifacts — the Chrome trace ring, dispatch records
+  // included, and the metrics timelines — are part of the determinism
+  // contract: they must not depend on how packets are allocated.
+  const std::string dir = ::testing::TempDir();
+  struct Artifacts {
+    std::string trace;
+    std::string series;
+  };
+  const auto run = [&](bool pool) {
+    const std::string tag = pool ? "pool" : "heap";
+    const Artifacts a{dir + "traced_tcp_" + tag + ".json", dir + "traced_tcp_" + tag + ".jsonl"};
+    ::setenv("AIRFAIR_TRACE_JSON", a.trace.c_str(), /*overwrite=*/1);
+    ::setenv("AIRFAIR_TIMESERIES_JSON", a.series.c_str(), /*overwrite=*/1);
+    TestbedConfig config;
+    config.seed = 7;
+    config.scheme = QueueScheme::kAirtimeFair;
+    config.packet_pool = pool;
+    RunTcpDownload(config, ShortTiming());
+    ::unsetenv("AIRFAIR_TRACE_JSON");
+    ::unsetenv("AIRFAIR_TIMESERIES_JSON");
+    return a;
+  };
+  const Artifacts pooled = run(true);
+  const Artifacts heap = run(false);
+
+  const std::string trace_bytes = ReadFileBytes(pooled.trace);
+  ASSERT_FALSE(trace_bytes.empty());
+  EXPECT_EQ(trace_bytes, ReadFileBytes(heap.trace));
+  const std::string series_bytes = ReadFileBytes(pooled.series);
+  ASSERT_FALSE(series_bytes.empty());
+  EXPECT_EQ(series_bytes, ReadFileBytes(heap.series));
+
+  // The artifacts carry a real run, not two empty files.
+  std::string error;
+  analyze::TraceStats stats;
+  ASSERT_TRUE(analyze::LoadChromeTrace(pooled.trace, &stats, &error)) << error;
+  EXPECT_GT(stats.events, 0);
+  analyze::TimeseriesData ts;
+  ASSERT_TRUE(analyze::LoadTimeseriesJsonl(pooled.series, &ts, &error)) << error;
+  EXPECT_GT(ts.points, 0);
 }
 
 }  // namespace

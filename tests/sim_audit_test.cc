@@ -293,42 +293,6 @@ TEST(Check, TimeProviderStampsFailures) {
   EXPECT_NE(message.find("t=2000us"), std::string::npos) << message;
 }
 
-#if AIRFAIR_DCHECK_ENABLED
-// The sharded loop's time-travel guard: a cross-domain post that lands below
-// the lookahead horizon means a cross-domain path is faster than the delay
-// the lookahead was derived from — the conservative-PDES contract is broken
-// and the run can no longer be bit-identical. The posting event runs in
-// domain 0, which executes on the coordinator (this thread), so the
-// thread-local failure handler sees the DCHECK.
-TEST(ShardedLoopAudit, BelowHorizonCrossPostTripsTheTimeTravelGuard) {
-  std::vector<std::string> messages;
-  ScopedCheckFailureHandler guard(
-      [&](const char*, int, const std::string& m) { messages.push_back(m); });
-  Simulation sim(5);
-  sim.EnableSharding(2, /*lookahead=*/100_us);
-  sim.PostAt(10_us, [&] {
-    // Lands at t=20us, inside the window this very event runs in — below
-    // the horizon the lookahead promised no cross event could land under.
-    // Target domain 0 (self) so the poisoned event's downstream fallout
-    // (the loop's own time-went-backwards DCHECK) also fires on the
-    // coordinator, where this handler is installed — handlers are
-    // thread-local, and a worker-thread failure would abort the test.
-    sim.PostCrossAfter(0, 10_us, [] {});
-  });
-  sim.RunFor(1_ms);
-  bool found = false;
-  for (const std::string& m : messages) {
-    if (m.find("below the lookahead horizon") != std::string::npos) {
-      found = true;
-      EXPECT_NE(m.find("domain 0"), std::string::npos) << m;
-      break;
-    }
-  }
-  EXPECT_TRUE(found) << "guard did not fire; " << messages.size()
-                     << " other failures";
-}
-#endif  // AIRFAIR_DCHECK_ENABLED
-
 // ---------------------------------------------------------------------------
 // Per-component invariant classes: clean state passes, one injected
 // corruption per class is detected.

@@ -598,46 +598,6 @@ TEST(LintRule, GatewayDeclaringTuExemptFromSpawnAndNamingBans) {
 }
 
 // ---------------------------------------------------------------------------
-// shard-gateway-discipline
-
-TEST(LintRule, ComponentTuNamingShardTypeFlagged) {
-  TempRepo repo;
-  repo.WriteFile("src/sim/shard_stuff.h",
-                 WithGuard("src/sim/shard_stuff.h", "class ShardMailbox { public: int n; };"));
-  repo.WriteFile("src/mac/queue.cc",
-                 "#include \"src/sim/shard_stuff.h\"\n"
-                 "int Peek(ShardMailbox* box) { return box->n; }\n");
-  const auto findings = For(repo.Run(), "shard-gateway-discipline");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/mac/queue.cc");
-  EXPECT_EQ(findings[0].line, 2);
-  EXPECT_NE(findings[0].message.find("ShardMailbox"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("PostCross"), std::string::npos);
-}
-
-TEST(LintRule, ShardFunctionsSimTusAndSuppressionsAreClean) {
-  TempRepo repo;
-  repo.WriteFile("src/sim/shard_stuff.h",
-                 WithGuard("src/sim/shard_stuff.h",
-                           "class ShardMailbox { public: int n; };\n"
-                           "int CurrentShardDomain();"));
-  // The shard-domain *functions* are the sanctioned read-only context query.
-  repo.WriteFile("src/net/pool.cc",
-                 "#include \"src/sim/shard_stuff.h\"\n"
-                 "int Slot() { return CurrentShardDomain(); }\n");
-  // src/sim is the shard machinery's home — exempt.
-  repo.WriteFile("src/sim/other.cc",
-                 "#include \"src/sim/shard_stuff.h\"\n"
-                 "int Drain(ShardMailbox* box) { return box->n; }\n");
-  // A suppression with a reason silences the rule like any other.
-  repo.WriteFile("src/aqm/codel.cc",
-                 "#include \"src/sim/shard_stuff.h\"\n"
-                 "// airfair-lint: allow(shard-gateway-discipline): fixture\n"
-                 "int Peek(ShardMailbox* box) { return box->n; }\n");
-  EXPECT_TRUE(For(repo.Run(), "shard-gateway-discipline").empty());
-}
-
-// ---------------------------------------------------------------------------
 // lock-order
 
 TEST(LintRule, InvertedLockNestingFlagged) {
@@ -960,7 +920,7 @@ TEST(Suppressions, CommaListCoversMultipleRules) {
 
 TEST(Output, AllRulesAreDocumentedAndJsonIsWellFormed) {
   const auto rules = AllRules();
-  EXPECT_EQ(rules.size(), 22u);
+  EXPECT_EQ(rules.size(), 21u);
   for (const RuleInfo& rule : rules) {
     EXPECT_FALSE(rule.id.empty());
     EXPECT_FALSE(rule.summary.empty());

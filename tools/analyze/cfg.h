@@ -3,10 +3,10 @@
 //
 // The two-pass engine (lint.h) sees stripped lines and a tree-wide symbol
 // index — enough for lexical and cross-file structure, blind to *order of
-// execution*. The rules added for the sharded-loop lifetime discipline
-// (use-after-move, guarded-field-path, callback-lifetime) need to reason
-// about paths: "is this PacketPtr used after the branch that moved it?",
-// "does every path from this detached post retain a cancel token?". This
+// execution*. The lifetime rules (use-after-move, guarded-field-path,
+// callback-lifetime) need to reason about paths: "is this PacketPtr used
+// after the branch that moved it?", "does every path from this detached
+// post retain a cancel token?". This
 // module parses each function body out of the stripped token stream into
 // basic blocks connected by control-flow edges, on which the dataflow
 // framework (tools/analyze/dataflow.h) runs forward may/must analyses.

@@ -339,7 +339,6 @@ class Linter {
     LintAuditRegistration();
     LintGuardedFieldDiscipline();
     LintDomainCrossing();
-    LintShardGatewayDiscipline();
     LintLockOrder();
     std::sort(result_.findings.begin(), result_.findings.end(),
               [](const LintFinding& a, const LintFinding& b) {
@@ -537,9 +536,9 @@ class Linter {
       }
     }
     // TUs that *implement* a whitelisted gateway are the sanctioned boundary
-    // itself: the sharded event loop both spawns the domain worker threads
-    // and names domain types, and that is its entire job. A TU qualifies
-    // when it (or its paired header) declares a gateway type.
+    // itself: a gateway may both spawn worker threads and name domain types,
+    // and that is its entire job. A TU qualifies when it (or its paired
+    // header) declares a gateway type.
     std::set<std::string> gateway_tus;
     for (const std::string& gw : gateways) {
       const auto it = index_.files_by_type.find(gw);
@@ -597,49 +596,6 @@ class Linter {
                      it->second +
                      "); cross the boundary only through a gateway listed in "
                      "tools/analyze/domain_gateways.txt");
-          break;  // One finding per line keeps the output readable.
-        }
-      }
-    }
-  }
-
-  // --- shard-gateway-discipline ---
-  // The sharded event loop's machinery (ShardedEventLoop, ShardMailbox and
-  // the window/post bookkeeping structs — anything named *Shard* declared
-  // under src/sim) is the simulation's one concurrency boundary. Hot-path
-  // component code in src/{core,mac,aqm,net} must stay shard-oblivious:
-  // the only sanctioned crossing is Simulation::PostCross*, which routes
-  // through the mailbox gateway. Naming a shard *type* from a component TU
-  // couples it to the parallel machinery (the shard-domain *functions* like
-  // CurrentShardDomain are fine — they are the read-only context query).
-  void LintShardGatewayDiscipline() {
-    std::set<std::string> shard_types;
-    for (const auto& [name, declaring_files] : index_.files_by_type) {
-      if (name.find("Shard") == std::string::npos) continue;
-      for (const std::string& f : declaring_files) {
-        if (StartsWith(f, "src/sim/")) {
-          shard_types.insert(name);
-          break;
-        }
-      }
-    }
-    for (const FileData& file : files_) {
-      if (!InHotDir(file.path) || StartsWith(file.path, "src/sim/")) continue;
-      for (size_t i = 0; i < file.code.size(); ++i) {
-        const std::string& code = file.code[i];
-        for (size_t k = 0; k < code.size();) {
-          if (!IsIdentChar(code[k])) {
-            ++k;
-            continue;
-          }
-          const size_t start = k;
-          while (k < code.size() && IsIdentChar(code[k])) ++k;
-          const std::string ident = code.substr(start, k - start);
-          if (shard_types.count(ident) == 0) continue;
-          Report(file, "shard-gateway-discipline", static_cast<int>(i) + 1,
-                 "component TU names shard type `" + ident +
-                     "`; hot-path code stays shard-oblivious — cross domains only "
-                     "through Simulation::PostCross* (the mailbox gateway)");
           break;  // One finding per line keeps the output readable.
         }
       }
@@ -1303,7 +1259,7 @@ class Linter {
   }
 
   // --- callback-lifetime ---
-  // Detached posts (PostAt/PostAfter/PostCross*) cannot be cancelled, so a
+  // Detached posts (PostAt/PostAfter) cannot be cancelled, so a
   // lambda that captures `this` (or by-reference state) posted detached
   // outlives no-one's control: if the component dies before the event
   // fires, the callback runs on a dangling pointer. Such closures must go
@@ -1350,7 +1306,7 @@ class Linter {
   }
 
   void CheckCallbackLifetime(const FileData& file, const FunctionCfg& cfg) {
-    static const char* kDetached[] = {"PostAt", "PostAfter", "PostCrossAt", "PostCrossAfter"};
+    static const char* kDetached[] = {"PostAt", "PostAfter"};
     static const char* kHandled[] = {"ScheduleAt", "ScheduleAfter", "At", "After"};
     std::map<std::string, int> sched_line;  // local handle var -> schedule stmt line
     for (const CfgBlock& block : cfg.blocks) {
@@ -1367,8 +1323,8 @@ class Linter {
         for (const char* post : kDetached) detached = detached || Contains(toks, post);
         if (detached) {
           Report(file, "callback-lifetime", stmt.line,
-                 "lambda capturing `this`/by-reference state posted detached (Post*/"
-                 "PostCross*) — it cannot be cancelled if the captured object dies first; "
+                 "lambda capturing `this`/by-reference state posted detached (Post*) — "
+                 "it cannot be cancelled if the captured object dies first; "
                  "use the handle-returning Schedule*/At/After and retain the EventHandle, "
                  "or suppress with a reason why the target provably outlives the loop");
           continue;
@@ -1470,9 +1426,6 @@ std::vector<RuleInfo> AllRules() {
        "(Mutex wrapper, AF_GUARDED_BY, AF_ATOMIC)"},
       {"domain-crossing",
        "thread-entry TUs touch event-loop-domain types only via declared gateways"},
-      {"shard-gateway-discipline",
-       "hot-path component TUs never name shard machinery types; cross domains via "
-       "Simulation::PostCross* only"},
       {"lock-order", "lock acquisitions nest per the declared hierarchy (lock_order.txt)"},
       {"use-after-move",
        "moved-from PacketPtr/EventFn/InlineFunction/unique_ptr locals may not be used "

@@ -54,11 +54,6 @@
 //                       domain TUs may not spawn threads. TUs declaring a
 //                       whitelisted gateway type are the boundary itself
 //                       and exempt in both directions
-//   shard-gateway-discipline
-//                       component TUs in src/{core,mac,aqm,net} may not
-//                       name shard machinery types (*Shard* types declared
-//                       under src/sim); cross-domain work goes through
-//                       Simulation::PostCross* — the mailbox gateway
 //   lock-order          RAII lock acquisitions must nest in the order
 //                       declared in tools/analyze/lock_order.txt
 //                       (outermost first); re-acquiring a held lock is
@@ -74,7 +69,7 @@
 //                       guard's MutexLock RAII scope has ended or was never
 //                       entered and no AF_REQUIRES covers the function
 //   callback-lifetime   a lambda capturing `this` (or by-reference state)
-//                       passed to the detached Post*/PostCross* in
+//                       passed to the detached PostAt/PostAfter in
 //                       src/{sim,mac,core,aqm,net,obs}, or a Schedule*/At/
 //                       After handle for such a lambda dropped on some path
 //                       instead of being stored/returned/passed on

@@ -2,8 +2,7 @@
 //
 // The original airfair_lint rules were per-file and lexical: each rule saw
 // one file's stripped lines and nothing else. The concurrency-discipline
-// rules added for the sharded-event-loop groundwork need *structure* that
-// spans files — which classes exist and where, which members are mutexes /
+// rules need *structure* that spans files — which classes exist and where, which members are mutexes /
 // atomics / mutable statics and whether they carry thread-safety
 // annotations, and where locks are acquired while other locks are held. The
 // symbol index extracts exactly that in one pass over every loaded file;
