@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the paper's
-// algorithms: enqueue/dequeue of the per-TID MAC queue structure, the CoDel
+// algorithms: enqueue/dequeue of the per-TID MAC queue structure, overflow-
+// victim selection in the MAC queues and the FQ-CoDel qdisc, the CoDel
 // control-law step, airtime computation, the scheduler round and flow
 // hashing. These are the per-packet costs the kernel implementation cares
 // about.
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/aqm/codel.h"
+#include "src/aqm/fq_codel.h"
 #include "src/core/airtime_scheduler.h"
 #include "src/core/mac_queues.h"
 #include "src/mac/airtime.h"
@@ -48,23 +50,60 @@ void BM_MacQueuesEnqueueDequeue(benchmark::State& state) {
 }
 BENCHMARK(BM_MacQueuesEnqueueDequeue)->Arg(1)->Arg(16)->Arg(256);
 
+// Overflow-victim selection with `range(0)` backlogged queues held at the
+// global limit (four packets each): every enqueue first drops from the
+// longest queue (Algorithm 1, lines 2-4). One station per queue, so no two
+// flows share one.
 void BM_MacQueuesOverflowDrop(benchmark::State& state) {
+  const int queues_backlogged = static_cast<int>(state.range(0));
   TimeUs now;
   MacQueues::Config config;
-  config.global_limit_packets = 256;
+  config.global_limit_packets = 4 * queues_backlogged;
   MacQueues queues([&now] { return now; }, config);
-  // Keep the structure at its limit: every enqueue triggers
-  // find_longest_queue + drop.
-  for (int i = 0; i < 256; ++i) {
-    queues.Enqueue(MakePacket(1500, static_cast<uint16_t>(i % 8)), i % 4, 0);
+  for (int i = 0; i < config.global_limit_packets; ++i) {
+    const int s = i % queues_backlogged;
+    queues.Enqueue(MakePacket(1500, static_cast<uint16_t>(1000 + s)), s, 0);
   }
+  int s = 0;
   for (auto _ : state) {
     now += TimeUs(10);
-    queues.Enqueue(MakePacket(), 0, 0);
+    queues.Enqueue(MakePacket(1500, static_cast<uint16_t>(1000 + s)), s, 0);
+    s = (s + 1) % queues_backlogged;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MacQueuesOverflowDrop);
+BENCHMARK(BM_MacQueuesOverflowDrop)->Arg(64)->Arg(1024);
+
+// The same for the FQ-CoDel qdisc: `range(0)` flows, each hashed to its own
+// queue of the default 1024, at the packet limit; every enqueue then drops
+// from the fattest queue.
+void BM_FqCodelOverflowDrop(benchmark::State& state) {
+  const size_t queues_backlogged = static_cast<size_t>(state.range(0));
+  TimeUs now;
+  FqCodelConfig config;
+  config.limit_packets = 4 * static_cast<int>(queues_backlogged);
+  FqCodelQdisc qdisc([&now] { return now; }, config);
+  std::vector<uint16_t> ports;
+  std::vector<bool> taken(static_cast<size_t>(config.flows), false);
+  for (uint16_t port = 1000; ports.size() < queues_backlogged; ++port) {
+    const uint64_t index = HashFlow(MakePacket(1500, port)->flow) % taken.size();
+    if (!taken[index]) {
+      taken[index] = true;
+      ports.push_back(port);
+    }
+  }
+  for (int i = 0; i < config.limit_packets; ++i) {
+    qdisc.Enqueue(MakePacket(1500, ports[static_cast<size_t>(i) % ports.size()]));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    now += TimeUs(10);
+    qdisc.Enqueue(MakePacket(1500, ports[next]));
+    next = (next + 1) % ports.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FqCodelOverflowDrop)->Arg(64)->Arg(1024);
 
 void BM_CodelDequeue(benchmark::State& state) {
   TimeUs now;

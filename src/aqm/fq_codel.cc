@@ -9,30 +9,46 @@
 #include "src/util/flow_hash.h"
 
 namespace airfair {
+namespace {
+
+// Each bad value would hang or fault on the packet path instead: no flow
+// queue to hash into, an Enqueue that drops from an empty qdisc forever, or a
+// DRR deficit that never turns positive.
+const FqCodelConfig& Validated(const FqCodelConfig& config) {
+  AF_CHECK_GT(config.flows, 0);
+  AF_CHECK_GE(config.limit_packets, 0);
+  AF_CHECK_GT(config.quantum_bytes, 0);
+  return config;
+}
+
+}  // namespace
 
 FqCodelQdisc::FqCodelQdisc(InlineFunction<TimeUs()> clock, const FqCodelConfig& config)
-    : clock_(std::move(clock)), config_(config), queues_(config.flows) {}
+    : clock_(std::move(clock)), config_(Validated(config)), queues_(config.flows) {}
 
-FqCodelQdisc::FlowQueue* FqCodelQdisc::FattestQueue() {
-  FlowQueue* fattest = nullptr;
-  for (auto& q : queues_) {
-    if (!q.packets.empty() && (fattest == nullptr || q.bytes > fattest->bytes)) {
-      fattest = &q;
-    }
+PacketPtr FqCodelQdisc::PullHead(FlowQueue& q) {
+  if (q.packets.empty()) {
+    return nullptr;
   }
-  return fattest;
+  PacketPtr p = std::move(q.packets.front());
+  q.packets.pop_front();
+  q.bytes -= p->size_bytes;
+  --total_packets_;
+  if (q.packets.empty()) {
+    backlog_.Remove(&q);
+  } else {
+    backlog_.KeyDecreased(&q);
+  }
+  return p;
 }
 
 void FqCodelQdisc::DropFromFattest() {
-  FlowQueue* q = FattestQueue();
-  if (q == nullptr || q->packets.empty()) {
+  FlowQueue* q = backlog_.Top();
+  if (q == nullptr) {
     return;
   }
   // fq_codel drops from the head of the fattest flow.
-  PacketPtr victim = std::move(q->packets.front());
-  q->packets.pop_front();
-  q->bytes -= victim->size_bytes;
-  --total_packets_;
+  PacketPtr victim = PullHead(*q);
   ++overflow_drops_;
   ++drops_;
   // The qdisc sits above the driver (host scope), so there is no station
@@ -43,7 +59,8 @@ void FqCodelQdisc::DropFromFattest() {
 
 void FqCodelQdisc::Enqueue(PacketPtr packet) {
   const uint64_t h = HashFlow(packet->flow, config_.hash_perturbation);
-  FlowQueue& q = queues_[h % queues_.size()];
+  const uint64_t index = h % queues_.size();
+  FlowQueue& q = queues_[index];
   const TimeUs now = clock_();
   packet->enqueued = now;
   AF_DCHECK_GT(packet->size_bytes, 0);
@@ -51,6 +68,11 @@ void FqCodelQdisc::Enqueue(PacketPtr packet) {
   ++enqueued_total_;
   q.bytes += packet->size_bytes;
   q.packets.push_back(std::move(packet));
+  if (backlog_.Contains(&q)) {
+    backlog_.KeyIncreased(&q);
+  } else {
+    backlog_.Push(&q, index);
+  }
   ++total_packets_;
   AF_TRACE_ENQUEUE(now, -1, q.packets.back()->tid, q.packets.back()->size_bytes,
                    total_packets_);
@@ -87,16 +109,7 @@ PacketPtr FqCodelQdisc::Dequeue() {
     }
     PacketPtr packet = q->codel.Dequeue(
         now, config_.codel,
-        [this, q]() -> PacketPtr {
-          if (q->packets.empty()) {
-            return nullptr;
-          }
-          PacketPtr p = std::move(q->packets.front());
-          q->packets.pop_front();
-          q->bytes -= p->size_bytes;
-          --total_packets_;
-          return p;
-        },
+        [this, q]() { return PullHead(*q); },
         [this, now](const PacketPtr& victim) {
           ++codel_drops_;
           ++drops_;
@@ -154,9 +167,21 @@ int FqCodelQdisc::CheckInvariants(AuditFailFn fail) const {
 
   violations += new_flows_.CheckIntegrity(subfail);
   violations += old_flows_.CheckIntegrity(subfail);
+  violations += backlog_.CheckIntegrity(subfail);
 
   int64_t resident = 0;
-  for (const FlowQueue& q : queues_) {
+  for (size_t i = 0; i < queues_.size(); ++i) {
+    const FlowQueue& q = queues_[i];
+    // The backlog heap holds exactly the non-empty queues, each tied by its
+    // index so equal backlogs resolve to the lowest index.
+    if (q.packets.empty() == backlog_.Contains(&q)) {
+      report(q.packets.empty() ? "empty flow queue in the backlog heap"
+                               : "non-empty flow queue missing from the backlog heap");
+    } else if (backlog_.Contains(&q) && q.backlog_slot.tie != i) {
+      std::ostringstream os;
+      os << "backlog heap tie " << q.backlog_slot.tie << " differs from queue index " << i;
+      report(os.str());
+    }
     resident += static_cast<int64_t>(q.packets.size());
     int64_t bytes = 0;
     for (const PacketPtr& p : q.packets) {
@@ -198,14 +223,12 @@ int FqCodelQdisc::CheckInvariants(AuditFailFn fail) const {
   return violations;
 }
 
-int FqCodelQdisc::active_flows() const {
-  int n = 0;
-  for (const auto& q : queues_) {
-    if (!q.packets.empty()) {
-      ++n;
-    }
+void FqCodelQdisc::CorruptBacklogHeapForTesting() {
+  // Swapping the top with the last element breaks the order at the last
+  // element's parent link while keeping every back-pointer consistent.
+  if (backlog_.size() >= 2) {
+    backlog_.SwapForTesting(0, backlog_.size() - 1);
   }
-  return n;
 }
 
 }  // namespace airfair

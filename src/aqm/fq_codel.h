@@ -19,6 +19,7 @@
 
 #include "src/aqm/codel.h"
 #include "src/aqm/queue_discipline.h"
+#include "src/util/backlog_heap.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
 #include "src/util/intrusive_list.h"
@@ -26,6 +27,7 @@
 
 namespace airfair {
 
+// The constructor checks flows > 0, limit_packets >= 0 and quantum_bytes > 0.
 struct FqCodelConfig {
   int flows = 1024;
   int limit_packets = 10240;
@@ -43,7 +45,7 @@ class FqCodelQdisc : public Qdisc {
   int packet_count() const override { return total_packets_; }
 
   // Number of distinct flow queues currently backlogged.
-  int active_flows() const;
+  int active_flows() const { return static_cast<int>(backlog_.size()); }
   int64_t codel_drops() const { return codel_drops_; }
   int64_t overflow_drops() const { return overflow_drops_; }
 
@@ -54,12 +56,14 @@ class FqCodelQdisc : public Qdisc {
   // Invariant audit (see src/sim/audit.h). Verifies, calling `fail` once per
   // violation and returning the violation count: packet conservation,
   // per-queue byte counters, non-empty queues being scheduled, DRR deficit
-  // bounds, drop-counter consistency, intrusive-list integrity and per-flow
-  // CoDel state validity.
+  // bounds, drop-counter consistency, intrusive-list integrity, backlog-heap
+  // integrity and membership (exactly the non-empty queues, tie = queue
+  // index) and per-flow CoDel state validity.
   int CheckInvariants(AuditFailFn fail) const;
 
-  // Test-only corruption hook for tests/sim_audit_test.cc.
+  // Test-only corruption hooks for tests/sim_audit_test.cc.
   void CorruptConservationForTesting() { ++enqueued_total_; }
+  void CorruptBacklogHeapForTesting();
 
  private:
   struct FlowQueue {
@@ -68,17 +72,23 @@ class FqCodelQdisc : public Qdisc {
     int64_t deficit = 0;
     CoDelState codel;
     ListNode node;  // On new_flows_ or old_flows_ when backlogged.
+    HeapSlot backlog_slot;  // In backlog_ when non-empty.
     bool is_new = false;
   };
 
-  FlowQueue* FattestQueue();
   void DropFromFattest();
+  // Pops the head packet of `q` (nullptr when empty), keeping the byte count,
+  // the packet count and backlog_ in step.
+  PacketPtr PullHead(FlowQueue& q);
 
   InlineFunction<TimeUs()> clock_;
   FqCodelConfig config_;
   std::vector<FlowQueue> queues_;
   IntrusiveList<FlowQueue, &FlowQueue::node> new_flows_;
   IntrusiveList<FlowQueue, &FlowQueue::node> old_flows_;
+  // Every non-empty flow queue, fattest on top; the tie is the queue index,
+  // so among equal backlogs the lowest index is the victim.
+  BacklogHeap<FlowQueue, &FlowQueue::bytes, &FlowQueue::backlog_slot> backlog_;
   int total_packets_ = 0;
   int64_t codel_drops_ = 0;
   int64_t overflow_drops_ = 0;

@@ -10,9 +10,22 @@
 #include "src/util/flow_hash.h"
 
 namespace airfair {
+namespace {
+
+// Each bad value would hang or fault on the packet path instead: no flow
+// queue to hash into, an Enqueue that drops from an empty structure forever,
+// or a DRR deficit that never turns positive.
+const MacQueues::Config& Validated(const MacQueues::Config& config) {
+  AF_CHECK_GT(config.flow_queues, 0);
+  AF_CHECK_GT(config.global_limit_packets, 0);
+  AF_CHECK_GT(config.quantum_bytes, 0);
+  return config;
+}
+
+}  // namespace
 
 MacQueues::MacQueues(InlineFunction<TimeUs()> clock, const Config& config)
-    : clock_(std::move(clock)), config_(config), pool_(config.flow_queues) {}
+    : clock_(std::move(clock)), config_(Validated(config)), pool_(config.flow_queues) {}
 
 CoDelParams MacQueues::ParamsFor(StationId station) const {
   if (codel_params_) {
@@ -46,28 +59,16 @@ MacQueues::TidQueue& MacQueues::GetOrCreateTid(StationId station, Tid tid) {
 void MacQueues::DropFromLongestQueue() {
   // Algorithm 1, lines 2-4: find_longest_queue() over every backlogged queue
   // (flow queues and overflow queues alike), drop from its head.
-  FlowQueue* longest = nullptr;
-  for (FlowQueue* q : backlogged_) {
-    if (longest == nullptr || q->bytes > longest->bytes) {
-      longest = q;
-    }
-  }
+  FlowQueue* longest = backlog_.Top();
   if (longest == nullptr) {
     return;
   }
-  PacketPtr victim = std::move(longest->packets.front());
-  longest->packets.pop_front();
-  longest->bytes -= victim->size_bytes;
-  --total_packets_;
-  ++overflow_drops_;
   AF_DCHECK(longest->tid != nullptr) << " backlogged queue without a TID assignment";
-  longest->tid->backlog_packets--;
+  PacketPtr victim = PullHead(*longest);
+  ++overflow_drops_;
   AF_DCHECK_GE(longest->tid->backlog_packets, 0);
   AF_TRACE_OVERFLOW_DROP(clock_(), longest->tid->station, longest->tid->tid,
                          longest->tid->backlog_packets, victim->size_bytes);
-  if (longest->packets.empty()) {
-    longest->backlog_node.Unlink();
-  }
 }
 
 void MacQueues::Enqueue(PacketPtr packet, StationId station, Tid tid) {
@@ -97,8 +98,10 @@ void MacQueues::Enqueue(PacketPtr packet, StationId station, Tid tid) {
   ++txq.backlog_packets;
   AF_TRACE_ENQUEUE(now, station, tid, queue->packets.back()->size_bytes,
                    txq.backlog_packets);
-  if (!queue->backlog_node.linked()) {
-    backlogged_.PushBack(queue);
+  if (backlog_.Contains(queue)) {
+    backlog_.KeyIncreased(queue);
+  } else {
+    backlog_.Push(queue, ++joins_);
   }
   // Newly active queues enter the TID's new-queues list (sparse-flow
   // priority; Algorithm 1, lines 11-12).
@@ -118,7 +121,9 @@ PacketPtr MacQueues::PullHead(FlowQueue& queue) {
   --total_packets_;
   queue.tid->backlog_packets--;
   if (queue.packets.empty()) {
-    queue.backlog_node.Unlink();
+    backlog_.Remove(&queue);
+  } else {
+    backlog_.KeyDecreased(&queue);
   }
   return p;
 }
@@ -182,7 +187,9 @@ int64_t MacQueues::FlushStation(StationId station) {
     total_packets_ -= static_cast<int>(q.packets.size());
     q.packets.clear();  // Destroys the PacketPtrs (returned to the pool).
     q.bytes = 0;
-    q.backlog_node.Unlink();
+    if (backlog_.Contains(&q)) {
+      backlog_.Remove(&q);
+    }
     q.sched_node.Unlink();
     q.tid = nullptr;
     // A fresh CoDel session for the queue's next assignment: the old
@@ -227,12 +234,12 @@ int MacQueues::CheckInvariants(AuditFailFn fail) const {
     report(os.str());
   }
 
-  // --- Backlogged-list structure and byte counters ------------------------
-  violations += backlogged_.CheckIntegrity(subfail);
+  // --- Backlog-heap structure and byte counters ---------------------------
+  violations += backlog_.CheckIntegrity(subfail);
   int64_t resident = 0;
-  for (const FlowQueue* q : backlogged_) {
+  for (const FlowQueue* q : backlog_) {
     if (q->packets.empty()) {
-      report("empty queue on the global backlogged list");
+      report("empty queue in the backlog heap");
       continue;
     }
     resident += static_cast<int64_t>(q->packets.size());
@@ -251,16 +258,16 @@ int MacQueues::CheckInvariants(AuditFailFn fail) const {
   }
   if (resident != total_packets_) {
     std::ostringstream os;
-    os << "resident recount mismatch: backlogged lists hold " << resident
+    os << "resident recount mismatch: the backlog heap holds " << resident
        << " packets but total_packets=" << total_packets_;
     report(os.str());
   }
 
-  // Every non-empty queue (pool and overflow) must be on the backlogged list.
+  // Every non-empty queue (pool and overflow) must be in the backlog heap.
   auto check_backlog_membership = [&](const FlowQueue& q, const char* kind) {
-    if (!q.packets.empty() && !q.backlog_node.linked()) {
+    if (!q.packets.empty() && !backlog_.Contains(&q)) {
       std::ostringstream os;
-      os << "non-empty " << kind << " queue missing from the global backlogged list";
+      os << "non-empty " << kind << " queue missing from the backlog heap";
       report(os.str());
     }
   };
@@ -345,6 +352,14 @@ void MacQueues::CorruptCodelStateForTesting() {
         return;
       }
     }
+  }
+}
+
+void MacQueues::CorruptBacklogHeapForTesting() {
+  // Swapping the top with the last element breaks the order at the last
+  // element's parent link while keeping every back-pointer consistent.
+  if (backlog_.size() >= 2) {
+    backlog_.SwapForTesting(0, backlog_.size() - 1);
   }
 }
 

@@ -30,6 +30,7 @@
 #include "src/aqm/codel.h"
 #include "src/mac/frame.h"
 #include "src/net/packet.h"
+#include "src/util/backlog_heap.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
 #include "src/util/intrusive_list.h"
@@ -41,7 +42,8 @@ class MacQueues {
  public:
   struct Config {
     // mac80211's fq defaults: 4096 flow queues, 8192-packet global limit
-    // (Figure 3), 300-byte DRR quantum.
+    // (Figure 3), 300-byte DRR quantum. The constructor checks all three
+    // are positive.
     int flow_queues = 4096;
     int global_limit_packets = 8192;
     int quantum_bytes = 300;
@@ -101,11 +103,12 @@ class MacQueues {
   // violation and returning the violation count:
   //  * packet conservation: enqueued == dequeued + dropped + resident,
   //    including the per-TID overflow queues;
-  //  * the global backlogged list contains exactly the non-empty queues and
-  //    its per-queue byte counters match the packets held;
+  //  * the backlog heap holds exactly the non-empty queues, its position
+  //    back-pointers and parent/child order are intact, and its per-queue
+  //    byte counters match the packets held;
   //  * per-TID backlog counters match a recount;
   //  * scheduled-queue/TID assignment consistency and intrusive-list
-  //    structural integrity (new, old and backlogged lists);
+  //    structural integrity (new and old lists);
   //  * FQ-CoDel deficit bounds: deficit <= quantum always, and a queue's
   //    deficit never falls to -max_packet_size or below (one dequeue charges
   //    at most one packet against a positive deficit);
@@ -118,6 +121,7 @@ class MacQueues {
   void CorruptDeficitForTesting();
   void CorruptCodelStateForTesting();
   void CorruptTidBacklogForTesting();
+  void CorruptBacklogHeapForTesting();
 
  private:
   struct TidQueue;
@@ -129,7 +133,7 @@ class MacQueues {
     CoDelState codel;
     TidQueue* tid = nullptr;  // Current TID assignment; nullptr when free.
     ListNode sched_node;      // On the owning TID's new/old list when active.
-    ListNode backlog_node;    // On the global backlogged list when non-empty.
+    HeapSlot backlog_slot;    // In the backlog heap when non-empty.
   };
 
   struct TidQueue {
@@ -157,7 +161,11 @@ class MacQueues {
   // dequeue path instead of a hash probe, which matters at 256 stations.
   // nullptr = never created, or torn down by FlushStation.
   std::vector<std::unique_ptr<TidQueue>> tids_;
-  IntrusiveList<FlowQueue, &FlowQueue::backlog_node> backlogged_;
+  // Every non-empty queue (flow and overflow queues alike), longest on top.
+  // The tie is a join counter stamped when a queue goes from empty to
+  // non-empty, so among equal backlogs the earliest joiner is the victim.
+  BacklogHeap<FlowQueue, &FlowQueue::bytes, &FlowQueue::backlog_slot> backlog_;
+  uint64_t joins_ = 0;
   int total_packets_ = 0;
   int64_t codel_drops_ = 0;
   int64_t overflow_drops_ = 0;

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/aqm/fifo.h"
 #include "src/aqm/fq_codel.h"
+#include "src/util/check.h"
+#include "src/util/flow_hash.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace airfair {
@@ -148,6 +155,94 @@ TEST_F(FqCodelTest, OverflowDropsFromFattestFlow) {
     }
   }
   EXPECT_EQ(thin, 20);
+}
+
+TEST_F(FqCodelTest, OverflowTieBreaksOnLowerQueueIndex) {
+  // Two flows with equal backlogs: the drop comes from the one hashed to the
+  // lower queue index, whichever enqueued first.
+  const FqCodelConfig defaults;
+  auto index_of = [&](uint16_t port) {
+    return HashFlow(MakePacket(1500, port)->flow) % static_cast<uint64_t>(defaults.flows);
+  };
+  uint16_t low = 1000;
+  uint16_t high = 1001;
+  while (index_of(low) == index_of(high)) {
+    ++high;
+  }
+  if (index_of(low) > index_of(high)) {
+    std::swap(low, high);
+  }
+  for (const bool low_first : {true, false}) {
+    SCOPED_TRACE(low_first);
+    FqCodelConfig config;
+    config.limit_packets = 4;
+    FqCodelQdisc q = Make(config);
+    for (uint16_t port : low_first ? std::vector<uint16_t>{low, high}
+                                   : std::vector<uint16_t>{high, low}) {
+      q.Enqueue(MakePacket(1500, port));
+      q.Enqueue(MakePacket(1500, port));
+    }
+    q.Enqueue(MakePacket(100, 3000));  // Pushes the qdisc over its limit.
+    ASSERT_EQ(q.overflow_drops(), 1);
+    int from_low = 0;
+    int from_high = 0;
+    while (PacketPtr p = q.Dequeue()) {
+      from_low += p->flow.src_port == low ? 1 : 0;
+      from_high += p->flow.src_port == high ? 1 : 0;
+    }
+    EXPECT_EQ(from_low, 1);
+    EXPECT_EQ(from_high, 2);
+  }
+}
+
+TEST_F(FqCodelTest, RejectsConfigsThatWouldHangOrFault) {
+  // Each value would otherwise divide by zero, hang Enqueue (dropping from
+  // an empty qdisc) or hang Dequeue (a deficit that never turns positive).
+  struct Case {
+    const char* field;
+    void (*apply)(FqCodelConfig&);
+  };
+  const Case cases[] = {
+      {"flows", [](FqCodelConfig& c) { c.flows = 0; }},
+      {"limit_packets", [](FqCodelConfig& c) { c.limit_packets = -1; }},
+      {"quantum_bytes", [](FqCodelConfig& c) { c.quantum_bytes = 0; }},
+  };
+  for (const Case& bad : cases) {
+    FqCodelConfig config;
+    bad.apply(config);
+    std::vector<std::string> failures;
+    {
+      ScopedCheckFailureHandler guard(
+          [&](const char*, int, const std::string& m) { failures.push_back(m); });
+      FqCodelQdisc q = Make(config);
+    }
+    ASSERT_EQ(failures.size(), 1u) << bad.field;
+    EXPECT_NE(failures[0].find(bad.field), std::string::npos) << failures[0];
+  }
+}
+
+TEST_F(FqCodelTest, AuditHoldsUnderRandomOps) {
+  // Property: across a random mix of flows, packet sizes, enqueues and
+  // dequeues against a small limit, the invariant audit (conservation and
+  // backlog-heap order included) holds after every operation.
+  FqCodelConfig config;
+  config.limit_packets = 48;
+  FqCodelQdisc q = Make(config);
+  Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    now_ += TimeUs(rng.UniformInt(0, 500));
+    if (rng.Chance(0.6)) {
+      q.Enqueue(MakePacket(static_cast<int>(rng.UniformInt(1, 3)) * 500,
+                           static_cast<uint16_t>(1000 + rng.UniformInt(0, 11))));
+    } else {
+      (void)q.Dequeue();
+    }
+    std::vector<std::string> violations;
+    q.CheckInvariants([&](const std::string& m) { violations.push_back(m); });
+    ASSERT_TRUE(violations.empty()) << "after op " << i << ": " << violations.front();
+  }
+  EXPECT_GT(q.overflow_drops(), 0);
+  EXPECT_LE(q.packet_count(), 48);
 }
 
 TEST_F(FqCodelTest, CodelAppliesPerFlow) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "src/util/check.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -114,6 +116,77 @@ TEST_F(MacQueuesTest, GlobalLimitDropsFromLongestQueue) {
   EXPECT_EQ(q.TidBacklog(1, 0), 3);
 }
 
+TEST_F(MacQueuesTest, OverflowVictimTieBreaksOnJoinOrder) {
+  // find_longest_queue() among equal backlogs picks the queue that became
+  // backlogged first; a queue that drains and rejoins goes to the back.
+  // Flows A, B, C and D sit on stations 0-3 so they never share a queue.
+  MacQueues::Config config;
+  config.global_limit_packets = 7;
+  MacQueues q = Make(config);
+  constexpr StationId kA = 0, kB = 1, kC = 2, kD = 3;
+  for (int round = 0; round < 2; ++round) {
+    for (StationId s : {kA, kB, kC}) {
+      q.Enqueue(Flow(static_cast<uint16_t>(1000 + s)), s, 0);
+    }
+  }
+  q.Enqueue(Flow(1003, 100), kD, 0);
+  ASSERT_EQ(q.packet_count(), 7);
+  ASSERT_EQ(q.overflow_drops(), 0);
+
+  // A, B and C hold 3000 bytes each: the first overflow drop is A's.
+  q.Enqueue(Flow(1003, 100), kD, 0);
+  EXPECT_EQ(q.overflow_drops(), 1);
+  EXPECT_EQ(q.TidBacklog(kA, 0), 1);
+  EXPECT_EQ(q.TidBacklog(kB, 0), 2);
+  EXPECT_EQ(q.TidBacklog(kC, 0), 2);
+
+  // A drains (leaving the backlog) and rejoins behind B and C with the same
+  // 3000 bytes; D drains to make room.
+  EXPECT_NE(q.Dequeue(kA, 0), nullptr);
+  EXPECT_EQ(q.Dequeue(kA, 0), nullptr);
+  EXPECT_NE(q.Dequeue(kD, 0), nullptr);
+  EXPECT_NE(q.Dequeue(kD, 0), nullptr);
+  q.Enqueue(Flow(1000), kA, 0);
+  q.Enqueue(Flow(1000), kA, 0);
+  q.Enqueue(Flow(1003, 100), kD, 0);
+  ASSERT_EQ(q.packet_count(), 7);
+  ASSERT_EQ(q.overflow_drops(), 1);
+
+  // Now B is the earliest joiner among the three equal queues.
+  q.Enqueue(Flow(1003, 100), kD, 0);
+  EXPECT_EQ(q.overflow_drops(), 2);
+  EXPECT_EQ(q.TidBacklog(kA, 0), 2);
+  EXPECT_EQ(q.TidBacklog(kB, 0), 1);
+  EXPECT_EQ(q.TidBacklog(kC, 0), 2);
+}
+
+TEST_F(MacQueuesTest, RejectsConfigsThatWouldHangOrFault) {
+  // Each value would otherwise hang Enqueue (no queue to drop from), hang
+  // Dequeue (a deficit that never turns positive) or divide by zero.
+  struct Case {
+    const char* field;
+    void (*apply)(MacQueues::Config&);
+  };
+  const Case cases[] = {
+      {"flow_queues", [](MacQueues::Config& c) { c.flow_queues = 0; }},
+      {"global_limit_packets", [](MacQueues::Config& c) { c.global_limit_packets = 0; }},
+      {"global_limit_packets", [](MacQueues::Config& c) { c.global_limit_packets = -5; }},
+      {"quantum_bytes", [](MacQueues::Config& c) { c.quantum_bytes = 0; }},
+  };
+  for (const Case& bad : cases) {
+    MacQueues::Config config;
+    bad.apply(config);
+    std::vector<std::string> failures;
+    {
+      ScopedCheckFailureHandler guard(
+          [&](const char*, int, const std::string& m) { failures.push_back(m); });
+      MacQueues q = Make(config);
+    }
+    ASSERT_EQ(failures.size(), 1u) << bad.field;
+    EXPECT_NE(failures[0].find(bad.field), std::string::npos) << failures[0];
+  }
+}
+
 TEST_F(MacQueuesTest, GlobalLimitPreventsLockout) {
   // The paper's Section 4.1.2 mechanism: the slow station cannot occupy the
   // entire queueing space. Fill with a hog, then verify a newcomer can
@@ -216,7 +289,8 @@ TEST_F(MacQueuesTest, PeekMatchesHeadOfLine) {
 
 TEST_F(MacQueuesTest, PacketConservationUnderRandomOps) {
   // Property: enqueued == dequeued + dropped + still-queued, across a random
-  // mix of stations, TIDs, flows and operations.
+  // mix of stations, TIDs, flows and operations, and the invariant audit
+  // (backlog-heap order included) holds after every operation.
   MacQueues::Config config;
   config.global_limit_packets = 64;
   MacQueues q = Make(config);
@@ -236,6 +310,9 @@ TEST_F(MacQueuesTest, PacketConservationUnderRandomOps) {
         ++dequeued;
       }
     }
+    std::vector<std::string> violations;
+    q.CheckInvariants([&](const std::string& m) { violations.push_back(m); });
+    ASSERT_TRUE(violations.empty()) << "after op " << i << ": " << violations.front();
   }
   EXPECT_EQ(enqueued, dequeued + q.drops() + q.packet_count());
   EXPECT_LE(q.packet_count(), 64);

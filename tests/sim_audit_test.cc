@@ -337,6 +337,13 @@ TEST_F(MacQueuesAudit, DetectsTidBacklogMiscount) {
   EXPECT_FALSE(Audit().empty());
 }
 
+TEST_F(MacQueuesAudit, DetectsBacklogHeapDisorder) {
+  queues_.CorruptBacklogHeapForTesting();
+  const std::vector<std::string> found = Audit();
+  ASSERT_FALSE(found.empty());
+  EXPECT_NE(found[0].find("backlog heap order violated"), std::string::npos) << found[0];
+}
+
 TEST(AirtimeSchedulerAudit, DetectsDeficitAboveQuantum) {
   AirtimeScheduler scheduler((AirtimeScheduler::Config()));
   scheduler.MarkBacklogged(/*station=*/0, AccessCategory::kBestEffort);
@@ -404,6 +411,23 @@ TEST(FqCodelAudit, DetectsConservationViolation) {
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
                  qdisc.CheckInvariants(fail);
                }).empty());
+}
+
+TEST(FqCodelAudit, DetectsBacklogHeapDisorder) {
+  Simulation sim;
+  FqCodelQdisc qdisc([&sim] { return sim.now(); }, FqCodelConfig());
+  for (int i = 0; i < 8; ++i) {
+    qdisc.Enqueue(MakePacket(1500, static_cast<uint16_t>(1000 + i)));
+  }
+  EXPECT_TRUE(Violations([&](const Auditor::FailFn& fail) {
+                qdisc.CheckInvariants(fail);
+              }).empty());
+
+  qdisc.CorruptBacklogHeapForTesting();
+  const std::vector<std::string> found = Violations(
+      [&](const Auditor::FailFn& fail) { qdisc.CheckInvariants(fail); });
+  ASSERT_FALSE(found.empty());
+  EXPECT_NE(found[0].find("backlog heap order violated"), std::string::npos) << found[0];
 }
 
 class ReorderAudit : public ::testing::Test {
