@@ -43,7 +43,7 @@ void RunJobs(int job_count, const std::function<void(int)>& body, int threads) {
 
   std::atomic<int> next_job{0};
   std::exception_ptr first_error;
-  Mutex error_mutex;  // Guards first_error (see tools/analyze/lock_order.txt).
+  Mutex error_mutex;  // Guards first_error.
 
   auto worker = [&] {
     for (;;) {

@@ -16,11 +16,9 @@
 //
 // Ownership domains (DESIGN.md §8): simulator-core types (src/sim, src/core,
 // src/aqm, src/mac, src/net) live in the event-loop domain — each instance
-// is owned by exactly one worker's job body and never crosses threads. This
-// translation unit is a *thread-entry* TU under airfair_lint's
-// domain-crossing rule: it may not name event-loop-domain types except
-// through the gateway whitelist (tools/analyze/domain_gateways.txt), which
-// is what keeps the runner a pure job scheduler. Repetitions are the only
+// is owned by exactly one worker's job body and never crosses threads. The
+// runner names none of them: it is a pure job scheduler, and the job body
+// builds the whole simulation inside its worker. Repetitions are the only
 // parallelism: one run is one EventLoop on one thread (DESIGN.md §9).
 
 #ifndef AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_

@@ -4,10 +4,9 @@
 // them — a dropped EventHandle silently degrades a cancellable timer into a
 // detached post (EventHandle destruction does not cancel), and a dropped
 // PacketPtr returns a packet to the pool the instant it was allocated. The
-// macro expands to [[nodiscard]], so the compiler flags discards in every
-// build; the lint engine's unused-result rule mirrors the check offline
-// (tools/analyze/lint.h) so it lands in CI annotations with the other
-// project rules and supports `airfair-lint: allow(...)` suppressions.
+// macro expands to [[nodiscard]], and the root CMakeLists.txt compiles with
+// -Werror=unused-result, so a discard fails every build; `(void)` is the
+// explicit discard.
 
 #ifndef AIRFAIR_SRC_UTIL_ATTRIBUTES_H_
 #define AIRFAIR_SRC_UTIL_ATTRIBUTES_H_

@@ -7,11 +7,8 @@
 // capability — so `T member_ AF_GUARDED_BY(mu_);` is actually enforced at
 // compile time under the thread-safety preset. The lint rule
 // guarded-field-discipline bans raw std::mutex members/statics in src/ for
-// the same reason.
-//
-// Lock ordering: nesting of named locks is declared in
-// tools/analyze/lock_order.txt and checked by airfair_lint's lock-order
-// rule against the acquisition nesting it observes in the tree.
+// the same reason. No code path holds two of these locks at once; taking a
+// Mutex already held is a -Wthread-safety error.
 
 #ifndef AIRFAIR_SRC_UTIL_MUTEX_H_
 #define AIRFAIR_SRC_UTIL_MUTEX_H_
@@ -31,7 +28,6 @@ class AF_CAPABILITY("mutex") Mutex {
 
   void Lock() AF_ACQUIRE() { mu_.lock(); }
   void Unlock() AF_RELEASE() { mu_.unlock(); }
-  bool TryLock() AF_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   // airfair-lint: allow(guarded-field-discipline): the annotated wrapper around the raw mutex

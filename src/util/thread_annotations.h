@@ -35,9 +35,12 @@
 // see through it; guarded state must hang off the annotated wrapper in
 // src/util/mutex.h (Mutex / MutexLock). The lint rule
 // guarded-field-discipline enforces exactly that: every std::mutex,
-// std::atomic or mutable-static member in src/ either carries one of these
-// annotations, is declared through the annotated wrapper, or carries an
+// std::atomic or mutable-static member in src/ either carries AF_GUARDED_BY
+// or AF_ATOMIC, is declared through the annotated wrapper, or carries an
 // explicit `airfair-lint: allow` with a reason.
+//
+// Only the macros the tree uses are defined; add clang's others
+// (requires_capability, pt_guarded_by, ...) here when code needs them.
 
 #ifndef AIRFAIR_SRC_UTIL_THREAD_ANNOTATIONS_H_
 #define AIRFAIR_SRC_UTIL_THREAD_ANNOTATIONS_H_
@@ -59,30 +62,13 @@
 // Data members: may only be read/written while holding the given capability.
 #define AF_GUARDED_BY(x) AF_THREAD_ANNOTATION_(guarded_by(x))
 
-// Pointer members: the *pointee* may only be accessed while holding the
-// capability (the pointer itself is unguarded).
-#define AF_PT_GUARDED_BY(x) AF_THREAD_ANNOTATION_(pt_guarded_by(x))
-
-// Functions: the caller must hold / must not hold the capability.
-#define AF_REQUIRES(...) AF_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
+// Functions: the caller must not hold the capability.
 #define AF_EXCLUDES(...) AF_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
 // Functions that acquire / release the capability themselves (the lock and
 // unlock methods of a capability type).
 #define AF_ACQUIRE(...) AF_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 #define AF_RELEASE(...) AF_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define AF_TRY_ACQUIRE(...) AF_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
-// Declared lock-ordering edges, checked statically by clang in addition to
-// the lint engine's lock-order rule (tools/analyze/lock_order.txt).
-#define AF_ACQUIRED_BEFORE(...) AF_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define AF_ACQUIRED_AFTER(...) AF_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-
-// Returns a reference to the capability guarding the returned object.
-#define AF_RETURN_CAPABILITY(x) AF_THREAD_ANNOTATION_(lock_returned(x))
-
-// Escape hatch: disables the analysis for one function. Carry a comment.
-#define AF_NO_THREAD_SAFETY_ANALYSIS AF_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 // Documentation-only marker (expands to nothing everywhere) for members
 // that are intentionally shared *without* a lock because every access is a

@@ -370,52 +370,6 @@ TEST(CfgBuilder, LambdasInLambdasNestRecursively) {
 }
 
 // ---------------------------------------------------------------------------
-// RAII lock tracking.
-
-TEST(CfgBuilder, HeldLocksFollowLexicalRaiiScopes) {
-  const FunctionCfg cfg = BuildOne(
-      "void F() {\n"
-      "  Before();\n"
-      "  {\n"
-      "    MutexLock lock(&mu_);\n"
-      "    Guarded();\n"
-      "  }\n"
-      "  AfterScope();\n"
-      "}\n");
-  const CfgStmt* before = StmtWith(cfg, "Before (");
-  const CfgStmt* guarded = StmtWith(cfg, "Guarded (");
-  const CfgStmt* after = StmtWith(cfg, "AfterScope (");
-  ASSERT_NE(before, nullptr);
-  ASSERT_NE(guarded, nullptr);
-  ASSERT_NE(after, nullptr);
-  EXPECT_TRUE(before->held_locks.empty());
-  ASSERT_EQ(guarded->held_locks.size(), 1u) << CfgToString(cfg);
-  EXPECT_EQ(guarded->held_locks[0], "mu_");
-  EXPECT_TRUE(after->held_locks.empty()) << CfgToString(cfg);
-}
-
-TEST(CfgBuilder, NestedGuardsStackInAcquisitionOrder) {
-  const FunctionCfg cfg = BuildOne(
-      "void F() {\n"
-      "  std::lock_guard<std::mutex> a(outer_mu_);\n"
-      "  {\n"
-      "    std::unique_lock<std::mutex> b(inner_mu_);\n"
-      "    Both();\n"
-      "  }\n"
-      "  OuterOnly();\n"
-      "}\n");
-  const CfgStmt* both = StmtWith(cfg, "Both (");
-  const CfgStmt* outer_only = StmtWith(cfg, "OuterOnly (");
-  ASSERT_NE(both, nullptr);
-  ASSERT_NE(outer_only, nullptr);
-  ASSERT_EQ(both->held_locks.size(), 2u) << CfgToString(cfg);
-  EXPECT_EQ(both->held_locks[0], "outer_mu_");
-  EXPECT_EQ(both->held_locks[1], "inner_mu_");
-  ASSERT_EQ(outer_only->held_locks.size(), 1u) << CfgToString(cfg);
-  EXPECT_EQ(outer_only->held_locks[0], "outer_mu_");
-}
-
-// ---------------------------------------------------------------------------
 // Robustness.
 
 TEST(CfgBuilder, MalformedInputNeverThrows) {

@@ -1,8 +1,7 @@
-// Tests for the lint engine's tree-wide symbol index
+// Tests for the lint engine's per-file symbol index
 // (tools/analyze/symbol_index.h): scope tracking, field/static
-// classification, annotation detection and lock-acquisition nesting. These
-// fixtures pin the parsing contract the concurrency-discipline rules
-// (guarded-field-discipline, domain-crossing, lock-order) build on.
+// classification and annotation detection. These fixtures pin the parsing
+// contract the guarded-field-discipline rule builds on.
 
 #include "tools/analyze/symbol_index.h"
 
@@ -18,33 +17,19 @@ namespace airfair {
 namespace analyze {
 namespace {
 
-// Raw text -> the (code, raw) line pair the index consumes, using the same
-// comment/string stripper the lint engine runs.
-struct Source {
-  std::string path;
+// Indexes one file's raw text, stripped by the same comment/string stripper
+// the lint engine runs.
+SymbolIndex Build(const std::string& text) {
   std::vector<std::string> raw;
   std::vector<std::string> code;
-};
-
-Source MakeSource(const std::string& path, const std::string& text) {
-  Source s;
-  s.path = path;
   std::istringstream in(text);
   std::string line;
   bool in_block = false;
   while (std::getline(in, line)) {
-    s.raw.push_back(line);
-    s.code.push_back(StripCodeLine(line, &in_block));
+    raw.push_back(line);
+    code.push_back(StripCodeLine(line, &in_block));
   }
-  return s;
-}
-
-SymbolIndex Build(const std::vector<Source>& sources) {
-  std::vector<IndexSourceFile> inputs;
-  for (const Source& s : sources) {
-    inputs.push_back(IndexSourceFile{s.path, &s.code, &s.raw});
-  }
-  return BuildSymbolIndex(inputs);
+  return BuildSymbolIndex(code, raw);
 }
 
 const ClassSymbol* FindClass(const SymbolIndex& index, const std::string& name) {
@@ -62,23 +47,22 @@ const FieldSymbol* FindField(const ClassSymbol& cls, const std::string& name) {
 }
 
 TEST(SymbolIndex, ClassesFieldsAndFlags) {
-  const SymbolIndex index = Build({MakeSource("src/util/r.h",
-                                              "namespace airfair {\n"
-                                              "class Registry {\n"
-                                              " public:\n"
-                                              "  void Get();\n"  // Method: not a field.
-                                              " private:\n"
-                                              "  std::mutex raw_mu_;\n"
-                                              "  Mutex mu_;\n"
-                                              "  std::atomic<int> hits_{0};\n"
-                                              "  static int total_;\n"
-                                              "  static constexpr int kMax = 8;\n"
-                                              "  bool done_ = false;\n"
-                                              "};\n"
-                                              "}  // namespace airfair\n")});
+  const SymbolIndex index = Build(
+      "namespace airfair {\n"
+      "class Registry {\n"
+      " public:\n"
+      "  void Get();\n"  // Method: not a field.
+      " private:\n"
+      "  std::mutex raw_mu_;\n"
+      "  Mutex mu_;\n"
+      "  std::atomic<int> hits_{0};\n"
+      "  static int total_;\n"
+      "  static constexpr int kMax = 8;\n"
+      "  bool done_ = false;\n"
+      "};\n"
+      "}  // namespace airfair\n");
   const ClassSymbol* cls = FindClass(index, "Registry");
   ASSERT_NE(cls, nullptr);
-  EXPECT_EQ(cls->file, "src/util/r.h");
   EXPECT_EQ(cls->line, 2);
   EXPECT_FALSE(cls->is_enum);
   EXPECT_EQ(cls->fields.size(), 6u);
@@ -116,14 +100,13 @@ TEST(SymbolIndex, ClassesFieldsAndFlags) {
 
 TEST(SymbolIndex, AnnotationOnDeclLineOrLineAbove) {
   const SymbolIndex index =
-      Build({MakeSource("src/util/a.h",
-                        "class Guarded {\n"
-                        "  int table_ AF_GUARDED_BY(mu_);\n"
-                        "  std::atomic<int> fast_ AF_ATOMIC{0};\n"
-                        "  // AF_GUARDED_BY(mu_) — taken and released in Lock()/Unlock()\n"
-                        "  int marked_above_;\n"
-                        "  int bare_;\n"
-                        "};\n")});
+      Build("class Guarded {\n"
+            "  int table_ AF_GUARDED_BY(mu_);\n"
+            "  std::atomic<int> fast_ AF_ATOMIC{0};\n"
+            "  // AF_GUARDED_BY(mu_) — taken and released in Lock()/Unlock()\n"
+            "  int marked_above_;\n"
+            "  int bare_;\n"
+            "};\n");
   const ClassSymbol* cls = FindClass(index, "Guarded");
   ASSERT_NE(cls, nullptr);
   EXPECT_TRUE(FindField(*cls, "table_")->has_annotation);
@@ -133,19 +116,19 @@ TEST(SymbolIndex, AnnotationOnDeclLineOrLineAbove) {
 }
 
 TEST(SymbolIndex, AttributeMacrosInClassHeadsAndScopedEnums) {
-  const SymbolIndex index = Build({MakeSource("src/util/m.h",
-                                              "class AF_CAPABILITY(\"mutex\") Mutex {\n"
-                                              " public:\n"
-                                              "  void Lock();\n"
-                                              "};\n"
-                                              "class Derived final : public Mutex {\n"
-                                              "  int x_;\n"
-                                              "};\n"
-                                              "enum class Color : int {\n"
-                                              "  kRed,\n"
-                                              "  kBlue,\n"
-                                              "};\n"
-                                              "class Forward;\n")});
+  const SymbolIndex index = Build(
+      "class AF_CAPABILITY(\"mutex\") Mutex {\n"
+      " public:\n"
+      "  void Lock();\n"
+      "};\n"
+      "class Derived final : public Mutex {\n"
+      "  int x_;\n"
+      "};\n"
+      "enum class Color : int {\n"
+      "  kRed,\n"
+      "  kBlue,\n"
+      "};\n"
+      "class Forward;\n");
   EXPECT_NE(FindClass(index, "Mutex"), nullptr);
   const ClassSymbol* derived = FindClass(index, "Derived");
   ASSERT_NE(derived, nullptr);
@@ -156,24 +139,22 @@ TEST(SymbolIndex, AttributeMacrosInClassHeadsAndScopedEnums) {
   EXPECT_TRUE(color->fields.empty());  // Enumerators are not fields.
   // Forward declarations open no scope and index no class.
   EXPECT_EQ(FindClass(index, "Forward"), nullptr);
-  EXPECT_EQ(index.files_by_type.count("Forward"), 0u);
-  EXPECT_EQ(index.files_by_type.count("Mutex"), 1u);
+  EXPECT_EQ(index.classes.size(), 3u);
 }
 
 TEST(SymbolIndex, StaticsAndNamespaceGlobals) {
   const SymbolIndex index =
-      Build({MakeSource("src/util/g.cc",
-                        "namespace airfair {\n"
-                        "namespace {\n"
-                        "std::atomic<int> g_level AF_ATOMIC{0};\n"  // No `static` keyword.
-                        "const char* kName = \"x\";\n"  // Not concurrency-relevant.
-                        "}  // namespace\n"
-                        "int Get() {\n"
-                        "  static int calls = 0;\n"
-                        "  static thread_local int depth = 0;\n"
-                        "  return calls + depth;\n"
-                        "}\n"
-                        "}  // namespace airfair\n")});
+      Build("namespace airfair {\n"
+            "namespace {\n"
+            "std::atomic<int> g_level AF_ATOMIC{0};\n"  // No `static` keyword.
+            "const char* kName = \"x\";\n"  // Not concurrency-relevant.
+            "}  // namespace\n"
+            "int Get() {\n"
+            "  static int calls = 0;\n"
+            "  static thread_local int depth = 0;\n"
+            "  return calls + depth;\n"
+            "}\n"
+            "}  // namespace airfair\n");
   ASSERT_EQ(index.statics.size(), 3u);
   EXPECT_EQ(index.statics[0].name, "g_level");
   EXPECT_FALSE(index.statics[0].is_function_local);
@@ -184,57 +165,6 @@ TEST(SymbolIndex, StaticsAndNamespaceGlobals) {
   EXPECT_FALSE(index.statics[1].has_annotation);
   EXPECT_EQ(index.statics[2].name, "depth");
   EXPECT_TRUE(index.statics[2].is_thread_local);
-}
-
-TEST(SymbolIndex, LockAcquisitionsTrackHeldStacks) {
-  const SymbolIndex index =
-      Build({MakeSource("src/util/l.cc",
-                        "void F() {\n"
-                        "  MutexLock outer(&alpha_);\n"
-                        "  {\n"
-                        "    std::lock_guard<std::mutex> inner(beta_);\n"
-                        "  }\n"
-                        "  std::lock_guard<std::mutex> after(gamma_);\n"
-                        "}\n"
-                        "void G() {\n"
-                        "  MutexLock solo(&ExportMutex());\n"
-                        "}\n")});
-  ASSERT_EQ(index.acquisitions.size(), 4u);
-  EXPECT_EQ(index.acquisitions[0].lock_name, "alpha_");
-  EXPECT_TRUE(index.acquisitions[0].held.empty());
-  EXPECT_EQ(index.acquisitions[1].lock_name, "beta_");
-  ASSERT_EQ(index.acquisitions[1].held.size(), 1u);
-  EXPECT_EQ(index.acquisitions[1].held[0], "alpha_");
-  // beta_'s block closed before gamma_: only alpha_ is still held.
-  EXPECT_EQ(index.acquisitions[2].lock_name, "gamma_");
-  ASSERT_EQ(index.acquisitions[2].held.size(), 1u);
-  EXPECT_EQ(index.acquisitions[2].held[0], "alpha_");
-  // Function scopes do not leak held locks into the next function; the
-  // lock expression's last identifier names the lock ("&ExportMutex()").
-  EXPECT_EQ(index.acquisitions[3].lock_name, "ExportMutex");
-  EXPECT_TRUE(index.acquisitions[3].held.empty());
-}
-
-TEST(SymbolIndex, ConstructorDeclarationsAreNotAcquisitions) {
-  const SymbolIndex index =
-      Build({MakeSource("src/util/m.h",
-                        "class AF_SCOPED_CAPABILITY MutexLock {\n"
-                        " public:\n"
-                        "  explicit MutexLock(Mutex* mu) : mu_(mu) {}\n"
-                        "  ~MutexLock();\n"
-                        " private:\n"
-                        "  Mutex* mu_;\n"
-                        "};\n")});
-  EXPECT_TRUE(index.acquisitions.empty());
-}
-
-TEST(SymbolIndex, CrossFileTypeMap) {
-  const SymbolIndex index = Build({MakeSource("src/core/a.h", "class Widget {\n};\n"),
-                                   MakeSource("src/mac/b.h", "struct Frame {\n int n;\n};\n")});
-  ASSERT_EQ(index.files_by_type.count("Widget"), 1u);
-  EXPECT_EQ(index.files_by_type.at("Widget")[0], "src/core/a.h");
-  ASSERT_EQ(index.files_by_type.count("Frame"), 1u);
-  EXPECT_EQ(index.files_by_type.at("Frame")[0], "src/mac/b.h");
 }
 
 }  // namespace

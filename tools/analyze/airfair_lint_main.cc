@@ -4,10 +4,12 @@
 //   paths default to `src bench tests tools` relative to --root (default .).
 //   --format=github emits ::error workflow commands so findings surface as
 //   inline annotations on the pull request.
-// Exit codes: 0 clean, 1 findings, 2 usage error.
+// Exit codes: 0 clean, 1 findings, 2 usage error (including a path that
+// does not exist, so a renamed directory cannot pass as clean).
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,13 @@ int main(int argc, char** argv) {
   }
   if (options.roots.empty()) {
     options.roots = {"src", "bench", "tests", "tools"};
+  }
+  for (const std::string& root : options.roots) {
+    const std::filesystem::path path = std::filesystem::path(options.repo_root) / root;
+    if (!std::filesystem::exists(path)) {
+      std::fprintf(stderr, "airfair_lint: %s does not exist\n", path.string().c_str());
+      return 2;
+    }
   }
 
   const auto start = std::chrono::steady_clock::now();

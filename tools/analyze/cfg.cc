@@ -76,62 +76,6 @@ bool IsControlKeyword(const std::string& s) {
          s == "new" || s == "delete";
 }
 
-// The RAII scoped-lock spellings the held-lock annotation recognises; the
-// project locks through these only (symbol_index.h documents the same
-// contract for the lock-order rule).
-const char* kLockGuards[] = {"MutexLock", "lock_guard", "unique_lock", "scoped_lock"};
-
-// If the statement tokens declare an RAII lock guard variable
-// ("MutexLock lock ( & mu_ )", "std :: lock_guard < std :: mutex > l ( m )"),
-// returns the guarded lock's name (last identifier of the first constructor
-// argument); "" otherwise.
-std::string LockGuardTarget(const std::vector<Token>& toks, size_t begin, size_t end) {
-  size_t i = begin;
-  bool is_guard = false;
-  // The guard type must appear before the variable name — scan the first
-  // few tokens only so a *use* of a guard type deeper in an expression does
-  // not count as a declaration.
-  for (size_t k = i; k < end && k < i + 6; ++k) {
-    for (const char* g : kLockGuards) {
-      if (toks[k].text == g) {
-        is_guard = true;
-        i = k + 1;
-        break;
-      }
-    }
-    if (is_guard) break;
-  }
-  if (!is_guard) return "";
-  // Skip a template argument list.
-  if (i < end && toks[i].text == "<") {
-    int angle = 0;
-    while (i < end) {
-      if (toks[i].text == "<") ++angle;
-      if (toks[i].text == ">" && --angle == 0) {
-        ++i;
-        break;
-      }
-      ++i;
-    }
-  }
-  // Variable name, then '(' — "MutexLock(" (a constructor) and
-  // "MutexLock l;" (deferred) declare nothing held here.
-  if (i >= end || !IsIdent(toks[i].text)) return "";
-  ++i;
-  if (i >= end || toks[i].text != "(") return "";
-  ++i;
-  std::string name;
-  int paren = 1;
-  while (i < end && paren > 0) {
-    if (toks[i].text == "(") ++paren;
-    if (toks[i].text == ")") --paren;
-    if (paren == 1 && toks[i].text == ",") break;  // First argument only.
-    if (paren >= 1 && IsIdent(toks[i].text)) name = toks[i].text;
-    ++i;
-  }
-  return name;
-}
-
 // ---------------------------------------------------------------------------
 // Statement parser: tokens of one function body -> basic blocks.
 // ---------------------------------------------------------------------------
@@ -191,7 +135,6 @@ class BodyParser {
     CfgStmt stmt;
     stmt.text = std::move(text);
     stmt.line = line;
-    stmt.held_locks = lock_stack_;
     stmt.is_return = is_return;
     cfg_->blocks[static_cast<size_t>(Cur())].stmts.push_back(std::move(stmt));
   }
@@ -215,12 +158,10 @@ class BodyParser {
 
   void ParseCompound() {
     if (!Accept("{")) return;
-    const size_t mark = lock_stack_.size();
     while (!AtEnd() && PeekText() != "}") {
       ParseStatement();
     }
     Accept("}");
-    lock_stack_.resize(mark);  // RAII: scope end releases its locks.
   }
 
   void ParseStatement() {
@@ -394,7 +335,6 @@ class BodyParser {
       Edge(head, exit);
       return;
     }
-    const size_t mark = lock_stack_.size();
     break_stack_.push_back(exit);
     bool seen_default = false;
     cur_ = -1;  // Code before the first label is unreachable.
@@ -417,7 +357,6 @@ class BodyParser {
       ParseStatement();
     }
     Accept("}");
-    lock_stack_.resize(mark);
     break_stack_.pop_back();
     Edge(cur_, exit);  // Fall off the last case.
     if (!seen_default) Edge(head, exit);
@@ -569,18 +508,7 @@ class BodyParser {
     CollectExprTokens(&text);
     Accept(";");
     text += " ;";
-    // RAII lock declaration: everything after it in this scope holds the
-    // lock (until the enclosing compound pops it).
-    std::vector<Token> stmt_toks;
-    {
-      // Re-tokenise the joined text cheaply for the guard matcher.
-      std::istringstream in(text);
-      std::string word;
-      while (in >> word) stmt_toks.push_back(Token{word, first.line});
-    }
-    const std::string lock = LockGuardTarget(stmt_toks, 0, stmt_toks.size());
     Append(std::move(text), first.line);
-    if (!lock.empty()) lock_stack_.push_back(lock);
   }
 
   const std::vector<Token>& toks_;
@@ -589,7 +517,6 @@ class BodyParser {
   int cur_ = 0;
   std::vector<int> break_stack_;
   std::vector<int> continue_stack_;
-  std::vector<std::string> lock_stack_;
 };
 
 // ---------------------------------------------------------------------------
@@ -664,7 +591,7 @@ size_t FindBodyBrace(const std::vector<Token>& toks, size_t after_params) {
         IsIdent(t)) {
       ++i;
       if (i < toks.size() && toks[i].text == "(") {
-        i = MatchingParen(toks, i) + 1;  // noexcept(...) / AF_REQUIRES(...).
+        i = MatchingParen(toks, i) + 1;  // noexcept(...) / AF_EXCLUDES(...).
       }
       continue;
     }
@@ -768,13 +695,7 @@ std::string CfgToString(const FunctionCfg& cfg) {
     for (const int s : b.succs) out << " B" << s;
     out << "\n";
     for (const CfgStmt& s : b.stmts) {
-      out << "    [" << s.line << "] " << s.text;
-      if (!s.held_locks.empty()) {
-        out << "  {held:";
-        for (const std::string& l : s.held_locks) out << " " << l;
-        out << "}";
-      }
-      out << "\n";
+      out << "    [" << s.line << "] " << s.text << "\n";
     }
   }
   for (size_t k = 0; k < cfg.lambdas.size(); ++k) {

@@ -1,28 +1,27 @@
 // Per-function control-flow graphs: the structural layer under the lint
 // engine's flow-sensitive rules.
 //
-// The two-pass engine (lint.h) sees stripped lines and a tree-wide symbol
-// index — enough for lexical and cross-file structure, blind to *order of
-// execution*. The lifetime rules (use-after-move, guarded-field-path,
-// callback-lifetime) need to reason about paths: "is this PacketPtr used
-// after the branch that moved it?", "does every path from this detached
-// post retain a cancel token?". This
-// module parses each function body out of the stripped token stream into
-// basic blocks connected by control-flow edges, on which the dataflow
-// framework (tools/analyze/dataflow.h) runs forward may/must analyses.
+// The lint engine (lint.h) sees stripped lines — enough for lexical and
+// cross-file structure, blind to *order of execution*. The lifetime rules
+// (use-after-move, callback-lifetime) need to reason about paths: "is this
+// PacketPtr used after the branch that moved it?", "does every path from
+// this schedule call retain the handle?". This module parses each function
+// body out of the stripped token stream into basic blocks connected by
+// control-flow edges, on which the dataflow framework
+// (tools/analyze/dataflow.h) runs forward may-analyses.
 //
 // What the builder understands: if/else, while, do-while, for (classic and
 // range), switch with fallthrough (case blocks chain unless a break/return
 // ends the previous one), break/continue to the innermost loop or switch,
-// early return (edge to the synthetic exit block), plain compound blocks
-// (scopes, for RAII lock tracking), and lambdas — a lambda body becomes a
+// early return (edge to the synthetic exit block), plain compound blocks,
+// and lambdas — a lambda body becomes a
 // *nested* FunctionCfg under its enclosing function, and the enclosing
 // statement keeps the capture list followed by a `<lambda#k>` placeholder,
 // so capture-initializer moves stay visible to the enclosing analysis while
 // body statements do not leak into it.
 //
 // Still a lexer, not a compiler, with the same contract as the symbol
-// index: robust for this code base's style, kept honest by structural tests
+// index (tools/analyze/symbol_index.h): robust for this code base's style, kept honest by structural tests
 // (tests/tools_cfg_test.cc). Known limits, by design: no goto/labels (the
 // tree has none), exceptions are approximated (a catch block is an
 // alternative successor of the statement before its try), preprocessor
@@ -40,17 +39,10 @@ namespace analyze {
 
 // One statement as the dataflow analyses see it: the token text (single
 // spaces between tokens; string/char literal contents were already blanked
-// by the line stripper) plus the source line and the RAII lock context.
+// by the line stripper) plus the source line.
 struct CfgStmt {
   std::string text;
   int line = 0;  // 1-based line where the statement starts.
-  // RAII guard variables (MutexLock / std::lock_guard / std::unique_lock /
-  // std::scoped_lock) whose lexical scope encloses this statement, named by
-  // the last identifier of the first constructor argument ("mu_" for
-  // `MutexLock lock(&mu_)`), in acquisition order. With RAII-only locking
-  // this *is* the path-aware held set: a statement on a path where the
-  // lock's scope ended, or was never entered, is simply outside the scope.
-  std::vector<std::string> held_locks;
   bool is_return = false;  // `return ...;` — sole successor is the exit.
 };
 
@@ -65,8 +57,8 @@ struct CfgBlock {
 struct FunctionCfg {
   std::string name;  // Last declarator identifier; "<lambda>" for lambdas.
   // Head text from the start of the declarator line to the body '{':
-  // carries the qualified name, parameters and annotation macros
-  // (AF_REQUIRES / AF_NO_THREAD_SAFETY_ANALYSIS) for the rules to inspect.
+  // carries the qualified name and the parameters (use-after-move tracks
+  // the move-only ones).
   std::string head;
   std::string captures;  // Lambda capture-list text; "" for functions.
   int line = 0;          // 1-based line of the body '{'.

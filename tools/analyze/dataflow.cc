@@ -7,38 +7,28 @@
 
 namespace airfair {
 namespace analyze {
+namespace {
 
-bool JoinInto(VarState* into, const VarState& from, JoinKind join) {
+// Joins `from` into `*into` (max, absent == 0: only keys present in `from`
+// can raise `into`); returns true if `*into` changed.
+bool JoinInto(VarState* into, const VarState& from) {
   bool changed = false;
-  if (join == JoinKind::kMay) {
-    // max, absent == 0: only keys present in `from` can raise `into`.
-    for (const auto& [var, value] : from) {
-      auto [it, inserted] = into->emplace(var, value);
-      if (inserted) {
-        changed = changed || value != 0;
-      } else if (value > it->second) {
-        it->second = value;
-        changed = true;
-      }
-    }
-    return changed;
-  }
-  // must: min, absent == 0 — a key missing on one side drags the other to 0.
-  for (auto& [var, value] : *into) {
-    const auto it = from.find(var);
-    const int incoming = it == from.end() ? 0 : it->second;
-    if (incoming < value) {
-      value = incoming;
+  for (const auto& [var, value] : from) {
+    auto [it, inserted] = into->emplace(var, value);
+    if (inserted) {
+      changed = changed || value != 0;
+    } else if (value > it->second) {
+      it->second = value;
       changed = true;
     }
   }
-  // Keys only in `from` join with absent (0) in `into`: min is 0, and
-  // absent already means 0, so nothing to add.
   return changed;
 }
 
-ForwardDataflow::ForwardDataflow(const FunctionCfg& cfg, JoinKind join, TransferFn transfer)
-    : cfg_(cfg), join_(join), transfer_(std::move(transfer)) {}
+}  // namespace
+
+ForwardDataflow::ForwardDataflow(const FunctionCfg& cfg, TransferFn transfer)
+    : cfg_(cfg), transfer_(std::move(transfer)) {}
 
 void ForwardDataflow::Solve(const VarState& entry_state) {
   in_states_.clear();
@@ -64,7 +54,7 @@ void ForwardDataflow::Solve(const VarState& entry_state) {
         in_states_[succ] = state;
         changed = true;
       } else {
-        changed = JoinInto(&it->second, state, join_);
+        changed = JoinInto(&it->second, state);
       }
       if (changed && queued.insert(succ).second) worklist.push_back(succ);
     }
@@ -88,10 +78,6 @@ const VarState& ForwardDataflow::ExitState() const {
   static const VarState kEmpty;
   const auto it = in_states_.find(cfg_.exit);
   return it == in_states_.end() ? kEmpty : it->second;
-}
-
-bool ForwardDataflow::ExitReached() const {
-  return in_states_.find(cfg_.exit) != in_states_.end();
 }
 
 }  // namespace analyze

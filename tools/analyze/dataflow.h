@@ -4,13 +4,14 @@
 // execution path through a function, tracking a small per-variable state
 // machine (moved-from? handle retained?), and report statements reached in a
 // bad state. This module provides that shape once: a worklist solver that
-// joins predecessor states at block entries (may = max over the lattice,
-// must = min), runs a rule-supplied transfer function across each block, and
-// iterates to a fixpoint (loops converge because transfer functions are
-// monotone over a finite lattice; a hard iteration cap backstops a rule that
-// is not). After the fixpoint, the solver replays each *reachable* block and
-// hands the rule every statement together with the state holding just before
-// it — unreachable code gets no callbacks and therefore no findings.
+// joins predecessor states at block entries (max over the lattice: a state
+// reached on ANY incoming path holds), runs a rule-supplied transfer
+// function across each block, and iterates to a fixpoint (loops converge
+// because transfer functions are monotone over a finite lattice; a hard
+// iteration cap backstops a rule that is not). After the fixpoint, the
+// solver replays each *reachable* block and hands the rule every statement
+// together with the state holding just before it — unreachable code gets no
+// callbacks and therefore no findings.
 //
 // State is a map from variable name to a small integer lattice value; absent
 // means 0 (the rule's bottom). Rules define their own value meanings, e.g.
@@ -33,11 +34,6 @@ namespace analyze {
 // Per-variable abstract state. Absent key == 0.
 using VarState = std::map<std::string, int>;
 
-enum class JoinKind {
-  kMay,   // Join = max: a property that holds on ANY incoming path holds.
-  kMust,  // Join = min: a property must hold on EVERY incoming path.
-};
-
 // Mutates `state` with the effect of one statement.
 using TransferFn = std::function<void(const CfgStmt& stmt, VarState* state)>;
 
@@ -50,7 +46,7 @@ using VisitFn = std::function<void(const CfgStmt& stmt, const VarState& before)>
 // null when only `ExitState` matters.
 class ForwardDataflow {
  public:
-  ForwardDataflow(const FunctionCfg& cfg, JoinKind join, TransferFn transfer);
+  ForwardDataflow(const FunctionCfg& cfg, TransferFn transfer);
 
   void Solve(const VarState& entry_state);
   void Visit(const VisitFn& visit) const;
@@ -58,17 +54,12 @@ class ForwardDataflow {
   // Joined state at the synthetic exit block (state when the function
   // returns, over all paths). Empty if the exit was never reached.
   const VarState& ExitState() const;
-  bool ExitReached() const;
 
  private:
   const FunctionCfg& cfg_;
-  JoinKind join_;
   TransferFn transfer_;
   std::map<int, VarState> in_states_;  // Only reachable blocks have entries.
 };
-
-// Joins `from` into `*into` under `join`; returns true if `*into` changed.
-bool JoinInto(VarState* into, const VarState& from, JoinKind join);
 
 }  // namespace analyze
 }  // namespace airfair

@@ -1,17 +1,14 @@
 #include "tools/analyze/lint.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <tuple>
 #include <string>
 #include <utility>
@@ -265,30 +262,6 @@ bool Contains(const std::vector<std::string>& toks, const std::string& t) {
   return std::find(toks.begin(), toks.end(), t) != toks.end();
 }
 
-// Runs fn(0..n-1) across a small thread pool. The lint tree is a few
-// hundred files; 8 threads is plenty and keeps the pool polite on shared
-// runners. (tools/ sits outside the domain-crossing rule's scope — the
-// simulator's single-threaded-domain discipline does not bind the linter.)
-template <typename Fn>
-void ParallelFor(size_t n, Fn&& fn) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const size_t nthreads =
-      std::min(std::min(static_cast<size_t>(hw == 0 ? 4 : hw), static_cast<size_t>(8)), n);
-  if (nthreads <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(nthreads);
-  for (size_t t = 0; t < nthreads; ++t) {
-    pool.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
-    });
-  }
-  for (std::thread& th : pool) th.join();
-}
-
 const char* kFileScopeRules[] = {"header-guard", "include-self-first", "core-needs-test",
                                  "audit-registration"};
 
@@ -317,15 +290,10 @@ class Linter {
 
   LintResult Run() {
     CollectFiles();
-    BuildIndex();
-    CollectNodiscardNames();
-    // Per-file stage, parallel across a small pool: each file's lexical
-    // rules plus the flow-sensitive CFG rules touch only that file's data
-    // (plus the read-only index built above); findings merge under a mutex
-    // and the final sort makes the output order deterministic regardless of
-    // scheduling. Cross-file rules stay serial below.
-    ParallelFor(files_.size(), [&](size_t i) {
-      const FileData& file = files_[i];
+    // Every rule in this loop reads only its own file (plus, for the
+    // include rules, the paired header's include list); the two rules after
+    // it look across files.
+    for (const FileData& file : files_) {
       LintHotConstructs(file);
       LintTraceMacroDiscipline(file);
       LintAfCheck(file);
@@ -333,13 +301,11 @@ class Linter {
       LintIwyu(file);
       LintHeaderGuard(file);
       LintUsingNamespace(file);
+      LintGuardedFieldDiscipline(file);
       LintFlowRules(file);
-    });
+    }
     LintCoreNeedsTest();
     LintAuditRegistration();
-    LintGuardedFieldDiscipline();
-    LintDomainCrossing();
-    LintLockOrder();
     std::sort(result_.findings.begin(), result_.findings.end(),
               [](const LintFinding& a, const LintFinding& b) {
                 return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
@@ -351,7 +317,6 @@ class Linter {
  private:
   void Report(const FileData& file, const std::string& rule, int line, std::string message) {
     if (Suppressed(file, rule, line)) return;
-    std::lock_guard<std::mutex> lock(findings_mutex_);
     result_.findings.push_back(LintFinding{rule, file.path, line, std::move(message)});
   }
 
@@ -386,12 +351,10 @@ class Linter {
     }
     std::sort(paths.begin(), paths.end());
     paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-    files_.resize(paths.size());
-    // Loading (read + strip + allow-parse) dominates small-tree runs;
-    // parallelise it by index so files_ keeps the sorted path order.
-    ParallelFor(paths.size(), [&](size_t i) {
-      files_[i] = LoadFile(paths[i], fs::relative(paths[i], root).generic_string());
-    });
+    files_.reserve(paths.size());
+    for (const fs::path& p : paths) {
+      files_.push_back(LoadFile(p, fs::relative(p, root).generic_string()));
+    }
   }
 
   // Effective includes of a .cc file: its own plus its paired header's (the
@@ -419,43 +382,6 @@ class Linter {
     return nullptr;
   }
 
-  // Pass 1 of the two-pass analysis: the tree-wide symbol index the
-  // concurrency-discipline rules below query. Built over every collected
-  // file so cross-file facts (where a class lives, which TUs spawn
-  // threads) are visible to rules running on any other file.
-  void BuildIndex() {
-    std::vector<IndexSourceFile> inputs;
-    inputs.reserve(files_.size());
-    for (const FileData& f : files_) {
-      inputs.push_back(IndexSourceFile{f.path, &f.code, &f.raw});
-    }
-    index_ = BuildSymbolIndex(inputs);
-  }
-
-  void ReportAt(const std::string& path, const std::string& rule, int line, std::string message) {
-    if (const FileData* file = Find(path); file != nullptr) {
-      Report(*file, rule, line, std::move(message));
-    }
-  }
-
-  // One identifier per line; '#' starts a comment. Used for the lock
-  // hierarchy and the domain gateway whitelist.
-  static std::vector<std::string> ReadListFile(const fs::path& path) {
-    std::vector<std::string> out;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      const size_t hash = line.find('#');
-      if (hash != std::string::npos) line = line.substr(0, hash);
-      line = Trim(line);
-      if (line.empty()) continue;
-      size_t e = 0;
-      while (e < line.size() && std::isspace(static_cast<unsigned char>(line[e])) == 0) ++e;
-      out.push_back(line.substr(0, e));
-    }
-    return out;
-  }
-
   // --- guarded-field-discipline ---
   // Every concurrency-relevant declaration in src/ must say what protects
   // it: raw std::mutex members become the annotated Mutex wrapper (a plain
@@ -463,180 +389,47 @@ class Linter {
   // statics carry AF_GUARDED_BY / AF_ATOMIC or an allow with a reason.
   // thread_local (per-thread ownership), const/constexpr and the Mutex
   // wrapper itself (a capability, not guarded state) are exempt.
-  void LintGuardedFieldDiscipline() {
-    const auto check = [&](const std::string& path, int line, const std::string& what,
-                           bool is_thread_local, bool is_const, bool is_atomic, bool is_raw_mutex,
-                           bool is_wrapped_mutex, bool is_mutable_static, bool has_annotation) {
-      if (!InSrc(path)) return;
-      if (is_thread_local || is_const) return;
-      if (is_raw_mutex) {
-        ReportAt(path, "guarded-field-discipline", line,
-                 "raw std::mutex " + what +
-                     "; declare airfair::Mutex (src/util/mutex.h) so clang -Wthread-safety "
-                     "can track what it guards");
+  void LintGuardedFieldDiscipline(const FileData& file) {
+    if (!InSrc(file.path)) return;
+    // `sym` is a FieldSymbol or a StaticSymbol; both carry the same flags.
+    const auto check = [&](const auto& sym, const std::string& what, bool is_mutable_static) {
+      if (sym.is_thread_local || sym.is_const) return;
+      if (sym.is_raw_mutex) {
+        Report(file, "guarded-field-discipline", sym.line,
+               "raw std::mutex " + what +
+                   "; declare airfair::Mutex (src/util/mutex.h) so clang -Wthread-safety "
+                   "can track what it guards");
         return;
       }
-      if (is_wrapped_mutex) return;
-      if (is_atomic) {
-        if (!has_annotation) {
-          ReportAt(path, "guarded-field-discipline", line,
-                   "std::atomic " + what +
-                       " without a declared discipline; add AF_GUARDED_BY(lock) or mark it "
-                       "intentionally lock-free with AF_ATOMIC "
-                       "(src/util/thread_annotations.h)");
+      if (sym.is_wrapped_mutex) return;
+      if (sym.is_atomic) {
+        if (!sym.has_annotation) {
+          Report(file, "guarded-field-discipline", sym.line,
+                 "std::atomic " + what +
+                     " without a declared discipline; add AF_GUARDED_BY(lock) or mark it "
+                     "intentionally lock-free with AF_ATOMIC "
+                     "(src/util/thread_annotations.h)");
         }
         return;
       }
-      if (is_mutable_static && !has_annotation) {
-        ReportAt(path, "guarded-field-discipline", line,
-                 "mutable static " + what +
-                     " without a declared discipline; guard it (AF_GUARDED_BY), make it "
-                     "atomic (AF_ATOMIC), use thread_local, or suppress with a reason");
+      if (is_mutable_static && !sym.has_annotation) {
+        Report(file, "guarded-field-discipline", sym.line,
+               "mutable static " + what +
+                   " without a declared discipline; guard it (AF_GUARDED_BY), make it "
+                   "atomic (AF_ATOMIC), use thread_local, or suppress with a reason");
       }
     };
-    for (const ClassSymbol& cls : index_.classes) {
+    const SymbolIndex index = BuildSymbolIndex(file.code, file.raw);
+    for (const ClassSymbol& cls : index.classes) {
       for (const FieldSymbol& f : cls.fields) {
-        check(f.file, f.line, "member `" + f.name + "` of " + cls.name, f.is_thread_local,
-              f.is_const, f.is_atomic, f.is_raw_mutex, f.is_wrapped_mutex, f.is_static,
-              f.has_annotation);
+        check(f, "member `" + f.name + "` of " + cls.name, f.is_static);
       }
     }
-    for (const StaticSymbol& s : index_.statics) {
-      check(s.file, s.line,
+    for (const StaticSymbol& s : index.statics) {
+      check(s,
             std::string(s.is_function_local ? "function-local static `" : "global `") + s.name +
                 "`",
-            s.is_thread_local, s.is_const, s.is_atomic, s.is_raw_mutex, s.is_wrapped_mutex,
-            /*is_mutable_static=*/true, s.has_annotation);
-    }
-  }
-
-  // --- domain-crossing ---
-  // Types declared in the hot dirs are event-loop-domain: owned by exactly
-  // one simulation loop, never safe to touch from another thread. The rule
-  // polices the boundary in both directions: thread-entry TUs (anything in
-  // src/ that spawns std::thread, plus the parallel runner) may not name a
-  // domain type except via the gateway whitelist, and domain TUs may not
-  // spawn threads at all.
-  void LintDomainCrossing() {
-    std::map<std::string, std::string> domain_types;  // name -> declaring file
-    for (const auto& [name, declaring_files] : index_.files_by_type) {
-      for (const std::string& f : declaring_files) {
-        if (InHotDir(f)) {
-          domain_types.emplace(name, f);
-          break;
-        }
-      }
-    }
-    std::set<std::string> gateways;
-    {
-      const fs::path p = fs::path(options_.repo_root) / options_.gateway_file;
-      if (fs::exists(p)) {
-        const std::vector<std::string> listed = ReadListFile(p);
-        gateways.insert(listed.begin(), listed.end());
-      }
-    }
-    // TUs that *implement* a whitelisted gateway are the sanctioned boundary
-    // itself: a gateway may both spawn worker threads and name domain types,
-    // and that is its entire job. A TU qualifies when it (or its paired
-    // header) declares a gateway type.
-    std::set<std::string> gateway_tus;
-    for (const std::string& gw : gateways) {
-      const auto it = index_.files_by_type.find(gw);
-      if (it == index_.files_by_type.end()) continue;
-      for (const std::string& f : it->second) {
-        gateway_tus.insert(f);
-        if (f.size() > 2 && f.compare(f.size() - 2, 2, ".h") == 0) {
-          gateway_tus.insert(f.substr(0, f.size() - 2) + ".cc");
-        }
-      }
-    }
-    for (const FileData& file : files_) {
-      if (!InSrc(file.path)) continue;
-      if (gateway_tus.count(file.path) > 0) continue;
-      const bool is_domain = InHotDir(file.path);
-      bool thread_entry = file.path.find("parallel_runner") != std::string::npos;
-      for (size_t i = 0; i < file.code.size(); ++i) {
-        // The std::thread *type* marks a spawner; nested-name uses like
-        // std::thread::id or std::thread::hardware_concurrency() do not
-        // start threads and are fine anywhere.
-        bool spawns = false;
-        for (size_t pos = FindToken(file.code[i], "std::thread"); pos != std::string::npos;
-             pos = FindToken(file.code[i], "std::thread", pos + 11)) {
-          if (pos + 11 >= file.code[i].size() || file.code[i][pos + 11] != ':') {
-            spawns = true;
-            break;
-          }
-        }
-        if (!spawns) continue;
-        const int line = static_cast<int>(i) + 1;
-        if (is_domain) {
-          Report(file, "domain-crossing", line,
-                 "event-loop-domain TU spawns std::thread; domain code is single-threaded "
-                 "by design — thread management belongs to the scenario layer");
-        } else {
-          thread_entry = true;
-        }
-      }
-      if (is_domain || !thread_entry) continue;
-      for (size_t i = 0; i < file.code.size(); ++i) {
-        const std::string& code = file.code[i];
-        for (size_t k = 0; k < code.size();) {
-          if (!IsIdentChar(code[k])) {
-            ++k;
-            continue;
-          }
-          const size_t start = k;
-          while (k < code.size() && IsIdentChar(code[k])) ++k;
-          if (start > 0 && IsIdentChar(code[start - 1])) continue;
-          const std::string ident = code.substr(start, k - start);
-          const auto it = domain_types.find(ident);
-          if (it == domain_types.end() || gateways.count(ident) > 0) continue;
-          Report(file, "domain-crossing", static_cast<int>(i) + 1,
-                 "thread-entry TU names event-loop-domain type `" + ident + "` (declared in " +
-                     it->second +
-                     "); cross the boundary only through a gateway listed in "
-                     "tools/analyze/domain_gateways.txt");
-          break;  // One finding per line keeps the output readable.
-        }
-      }
-    }
-  }
-
-  // --- lock-order ---
-  // tools/analyze/lock_order.txt declares the lock hierarchy, outermost
-  // first. Acquiring a lock that the hierarchy places *before* one already
-  // held is an inversion (a deadlock with any thread locking in the
-  // declared order); re-acquiring a held lock self-deadlocks outright.
-  // Locks not listed are outside the declared hierarchy and never flagged;
-  // without a hierarchy file only the (unconditional) re-acquisition check
-  // runs.
-  void LintLockOrder() {
-    const fs::path p = fs::path(options_.repo_root) / options_.lock_order_file;
-    std::map<std::string, int> rank;
-    if (fs::exists(p)) {
-      const std::vector<std::string> order = ReadListFile(p);
-      for (size_t i = 0; i < order.size(); ++i) {
-        rank.emplace(order[i], static_cast<int>(i));
-      }
-    }
-    for (const LockAcquisition& acq : index_.acquisitions) {
-      for (const std::string& held : acq.held) {
-        if (held == acq.lock_name) {
-          ReportAt(acq.file, "lock-order", acq.line,
-                   "re-acquisition of already-held lock `" + held + "` self-deadlocks");
-          continue;
-        }
-        const auto held_rank = rank.find(held);
-        const auto acq_rank = rank.find(acq.lock_name);
-        if (held_rank == rank.end() || acq_rank == rank.end()) continue;
-        if (held_rank->second > acq_rank->second) {
-          ReportAt(acq.file, "lock-order", acq.line,
-                   "acquires `" + acq.lock_name + "` while holding `" + held +
-                       "`, inverting the declared hierarchy (tools/analyze/lock_order.txt "
-                       "orders `" +
-                       acq.lock_name + "` before `" + held + "`)");
-        }
-      }
+            /*is_mutable_static=*/true);
     }
   }
 
@@ -810,13 +603,8 @@ class Linter {
       for (const Symbol& sym : kSymbols) {
         if (includes.count(sym.header) > 0 || reported.count(sym.token) > 0) continue;
         if (!HasToken(code, sym.token)) continue;
-        const int line = static_cast<int>(i) + 1;
-        if (!Suppressed(file, "iwyu-lite", line)) {
-          std::lock_guard<std::mutex> lock(findings_mutex_);
-          result_.findings.push_back(
-              LintFinding{"iwyu-lite", file.path, line,
-                          std::string(sym.token) + " used without <" + sym.header + ">"});
-        }
+        Report(file, "iwyu-lite", static_cast<int>(i) + 1,
+               std::string(sym.token) + " used without <" + sym.header + ">");
         reported.insert(sym.token);
       }
     }
@@ -956,134 +744,18 @@ class Linter {
 
   // -------------------------------------------------------------------------
   // Flow-sensitive rules: per-function CFGs (tools/analyze/cfg.h) + forward
-  // dataflow (tools/analyze/dataflow.h). All four run per file, inside the
-  // parallel stage — they read only this file's CFGs and the shared
-  // read-only index.
+  // dataflow (tools/analyze/dataflow.h). Both apply to src/ only.
   // -------------------------------------------------------------------------
 
-  // Names of functions declared with AF_NODISCARD anywhere in the tree.
-  // Matching is by name (the engine has no overload resolution); the macro
-  // definition line itself starts with '#' and is skipped.
-  void CollectNodiscardNames() {
-    for (const FileData& file : files_) {
-      for (const std::string& code : file.code) {
-        const std::string trimmed = Trim(code);
-        if (!trimmed.empty() && trimmed[0] == '#') continue;
-        const size_t pos = FindToken(code, "AF_NODISCARD");
-        if (pos == std::string::npos) continue;
-        const size_t open = code.find('(', pos);
-        if (open == std::string::npos) continue;  // Name on the next line: skip.
-        size_t e = open;
-        while (e > 0 && std::isspace(static_cast<unsigned char>(code[e - 1])) != 0) --e;
-        size_t s = e;
-        while (s > 0 && IsIdentChar(code[s - 1])) --s;
-        if (s < e) nodiscard_names_.insert(code.substr(s, e - s));
-      }
-    }
-  }
-
   void LintFlowRules(const FileData& file) {
-    const bool check_discard = !nodiscard_names_.empty();
-    const bool check_src = InSrc(file.path);
-    if (!check_discard && !check_src) return;
-    const std::vector<FunctionCfg> cfgs = BuildFileCfgs(file.code);
-    if (cfgs.empty()) return;
-
-    // Guarded fields whose declaring class lives in this file or its paired
-    // header/cc — the files whose functions can be their member functions.
-    std::map<std::string, std::string> guarded;   // field -> guard lock name
-    std::set<std::string> local_classes;          // ctor/dtor detection
-    if (check_src) {
-      const std::string paired = PairedHeader(file.path);
-      const auto applies = [&](const std::string& decl_file) {
-        return decl_file == file.path || (!paired.empty() && decl_file == paired) ||
-               PairedHeader(decl_file) == file.path;
-      };
-      for (const ClassSymbol& cls : index_.classes) {
-        bool local = false;
-        for (const FieldSymbol& f : cls.fields) {
-          if (!applies(f.file)) continue;
-          local = true;
-          if (!f.guard.empty()) guarded[f.name] = f.guard;
-        }
-        if (local || applies(cls.file)) local_classes.insert(cls.name);
-      }
-      for (const StaticSymbol& s : index_.statics) {
-        if (!s.guard.empty() && s.file == file.path) guarded[s.name] = s.guard;
-      }
-    }
-
-    for (const FunctionCfg& cfg : cfgs) {
-      CheckFunctionFlow(file, cfg, guarded, local_classes);
-    }
+    if (!InSrc(file.path)) return;
+    for (const FunctionCfg& cfg : BuildFileCfgs(file.code)) CheckFunctionFlow(file, cfg);
   }
 
-  void CheckFunctionFlow(const FileData& file, const FunctionCfg& cfg,
-                         const std::map<std::string, std::string>& guarded,
-                         const std::set<std::string>& local_classes) {
-    if (!nodiscard_names_.empty()) CheckUnusedResult(file, cfg);
-    if (InSrc(file.path)) {
-      CheckUseAfterMove(file, cfg);
-      if (!guarded.empty()) CheckGuardedFieldPath(file, cfg, local_classes, guarded);
-    }
+  void CheckFunctionFlow(const FileData& file, const FunctionCfg& cfg) {
+    CheckUseAfterMove(file, cfg);
     if (InCallbackDirs(file.path)) CheckCallbackLifetime(file, cfg);
-    for (const FunctionCfg& lambda : cfg.lambdas) {
-      CheckFunctionFlow(file, lambda, guarded, local_classes);
-    }
-  }
-
-  // --- unused-result ---
-  // A full-expression statement that is nothing but a call to an
-  // AF_NODISCARD function ("pool.Allocate();") discards the result. The
-  // compiler enforces the same via [[nodiscard]]; the lint rule mirrors it
-  // into CI annotations and honours allow() suppressions. `(void)` casts
-  // are the sanctioned explicit discard.
-  void CheckUnusedResult(const FileData& file, const FunctionCfg& cfg) {
-    for (const CfgBlock& block : cfg.blocks) {
-      for (const CfgStmt& stmt : block.stmts) {
-        if (stmt.is_return) continue;
-        std::vector<std::string> toks = SplitTokens(stmt.text);
-        size_t end = toks.size();
-        if (end > 0 && toks[end - 1] == ";") --end;
-        if (end < 3) continue;
-        if (toks[0] == "(" && toks[1] == "void" && toks[2] == ")") continue;
-        size_t open = std::string::npos;
-        for (size_t i = 0; i < end; ++i) {
-          if (toks[i] == "(") {
-            open = i;
-            break;
-          }
-        }
-        if (open == std::string::npos || open == 0) continue;
-        const std::string& name = toks[open - 1];
-        if (nodiscard_names_.count(name) == 0) continue;
-        // Everything before the name must be a bare receiver chain — any
-        // operator ('=', 'return', '<<') means the result is consumed.
-        bool chain = true;
-        for (size_t i = 0; i + 1 < open; ++i) {
-          const std::string& t = toks[i];
-          if (t == "." || t == "->" || t == "::" || IsIdentToken(t)) continue;
-          chain = false;
-          break;
-        }
-        if (!chain) continue;
-        // The call's ')' must end the statement; trailing '.'/'->' means
-        // the result is used.
-        int depth = 0;
-        size_t close = std::string::npos;
-        for (size_t i = open; i < end; ++i) {
-          if (toks[i] == "(") ++depth;
-          if (toks[i] == ")" && --depth == 0) {
-            close = i;
-            break;
-          }
-        }
-        if (close != end - 1) continue;
-        Report(file, "unused-result", stmt.line,
-               "result of AF_NODISCARD function `" + name +
-                   "` is discarded; store it, cast to (void), or use the detached variant");
-      }
-    }
+    for (const FunctionCfg& lambda : cfg.lambdas) CheckFunctionFlow(file, lambda);
   }
 
   // --- use-after-move ---
@@ -1167,7 +839,7 @@ class Linter {
         }
       }
     };
-    ForwardDataflow flow(cfg, JoinKind::kMay, transfer);
+    ForwardDataflow flow(cfg, transfer);
     flow.Solve(VarState{});
     flow.Visit([&](const CfgStmt& stmt, const VarState& before) {
       const std::vector<std::string> toks = SplitTokens(stmt.text);
@@ -1199,63 +871,6 @@ class Linter {
         break;  // One finding per statement.
       }
     });
-  }
-
-  // --- guarded-field-path ---
-  // An AF_GUARDED_BY field may only be touched where its guard's RAII scope
-  // encloses the statement (cfg.h records the lexical held set per
-  // statement — with RAII-only locking that is exactly path-aware reach) or
-  // the function declares AF_REQUIRES(guard). Constructors/destructors run
-  // single-owner and are exempt, as is AF_NO_THREAD_SAFETY_ANALYSIS.
-  void CheckGuardedFieldPath(const FileData& file, const FunctionCfg& cfg,
-                             const std::set<std::string>& local_classes,
-                             const std::map<std::string, std::string>& guarded) {
-    if (HasToken(cfg.head, "AF_NO_THREAD_SAFETY_ANALYSIS")) return;
-    if (local_classes.count(cfg.name) > 0) return;         // Constructor.
-    if (cfg.head.find('~') != std::string::npos) return;   // Destructor.
-    std::set<std::string> entry_held;
-    const size_t req = FindToken(cfg.head, "AF_REQUIRES");
-    if (req != std::string::npos) {
-      const size_t open = cfg.head.find('(', req);
-      const size_t close = open == std::string::npos ? std::string::npos
-                                                     : cfg.head.find(')', open);
-      if (close != std::string::npos) {
-        std::string name;
-        for (size_t i = open + 1; i < close;) {
-          if (IsIdentChar(cfg.head[i])) {
-            const size_t start = i;
-            while (i < close && IsIdentChar(cfg.head[i])) ++i;
-            entry_held.insert(cfg.head.substr(start, i - start));
-            continue;
-          }
-          ++i;
-        }
-      }
-    }
-    for (const CfgBlock& block : cfg.blocks) {
-      for (const CfgStmt& stmt : block.stmts) {
-        const std::vector<std::string> toks = SplitTokens(stmt.text);
-        for (size_t i = 0; i < toks.size(); ++i) {
-          const auto it = guarded.find(toks[i]);
-          if (it == guarded.end()) continue;
-          // `other.field_` touches another instance; only `field_` and
-          // `this->field_` are this object's state.
-          if (i >= 2 && (toks[i - 1] == "." || toks[i - 1] == "->") && toks[i - 2] != "this") {
-            continue;
-          }
-          const std::string& guard = it->second;
-          const bool held =
-              entry_held.count(guard) > 0 ||
-              std::find(stmt.held_locks.begin(), stmt.held_locks.end(), guard) !=
-                  stmt.held_locks.end();
-          if (held) continue;
-          Report(file, "guarded-field-path", stmt.line,
-                 "`" + toks[i] + "` is AF_GUARDED_BY(" + guard +
-                     ") but no enclosing MutexLock scope or AF_REQUIRES holds it on this path");
-          break;  // One finding per statement.
-        }
-      }
-    }
   }
 
   // --- callback-lifetime ---
@@ -1334,7 +949,7 @@ class Linter {
         if (!handled) continue;
         // Where does the handle go? Member-ish targets and returns retain
         // it; a bare local needs the every-path dataflow check below.
-        // (A fully discarded result is unused-result's finding, not ours.)
+        // (A fully discarded result is a -Werror=unused-result build error.)
         size_t assign = std::string::npos;
         for (size_t i = 1; i < toks.size(); ++i) {
           if (toks[i] == "=") {
@@ -1360,7 +975,7 @@ class Linter {
         (*state)[var] = stmt.line == line ? 1 : 0;  // 1 = not yet retained.
       }
     };
-    ForwardDataflow flow(cfg, JoinKind::kMay, transfer);
+    ForwardDataflow flow(cfg, transfer);
     flow.Solve(VarState{});
     const VarState& at_exit = flow.ExitState();
     for (const auto& [var, line] : sched_line) {
@@ -1376,9 +991,6 @@ class Linter {
 
   LintOptions options_;
   std::vector<FileData> files_;
-  SymbolIndex index_;
-  std::set<std::string> nodiscard_names_;
-  std::mutex findings_mutex_;
   LintResult result_;
 };
 
@@ -1424,21 +1036,12 @@ std::vector<RuleInfo> AllRules() {
       {"guarded-field-discipline",
        "mutexes, atomics and mutable statics in src/ declare their discipline "
        "(Mutex wrapper, AF_GUARDED_BY, AF_ATOMIC)"},
-      {"domain-crossing",
-       "thread-entry TUs touch event-loop-domain types only via declared gateways"},
-      {"lock-order", "lock acquisitions nest per the declared hierarchy (lock_order.txt)"},
       {"use-after-move",
        "moved-from PacketPtr/EventFn/InlineFunction/unique_ptr locals may not be used "
        "on any path before reassignment (flow-sensitive, src/)"},
-      {"guarded-field-path",
-       "AF_GUARDED_BY fields are only touched where the guard's MutexLock scope or "
-       "AF_REQUIRES holds on the path (flow-sensitive, src/)"},
       {"callback-lifetime",
        "this-capturing lambdas in src/{sim,mac,core,aqm,net,obs} are not posted "
        "detached; schedule handles must be retained on every path"},
-      {"unused-result",
-       "results of AF_NODISCARD functions (EventLoop schedules, PacketPool::Allocate) "
-       "may not be silently discarded"},
   };
 }
 

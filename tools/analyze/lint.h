@@ -4,11 +4,13 @@
 // project-specific rules — the ones that keep the simulator's hot paths
 // allocation-free and its components wired into the invariant auditor —
 // are enforced by this self-contained engine instead. It is a lexer-level
-// analyzer, not a compiler, and runs in two passes: pass 1 strips comments
-// and string literals with a real lexer state machine and builds a
-// tree-wide symbol index (tools/analyze/symbol_index.h — classes, members,
-// annotations, lock acquisitions); pass 2 runs the rules over the code
-// text, the include lists, the cross-file structure and the index.
+// analyzer, not a compiler. It strips comments and string literals with a
+// real lexer state machine, runs the per-file rules over each file's code
+// text and include list in one serial pass, then runs the two cross-file
+// rules (core-needs-test, audit-registration). Hazards the compiler already
+// reports are left to it: discarded AF_NODISCARD results fail the build
+// (-Werror=unused-result) and unguarded AF_GUARDED_BY accesses fail CI's
+// clang -Wthread-safety job.
 //
 // Rules (ids are stable; they feed suppressions and CI output):
 //   hot-std-function    std::function in src/{sim,mac,core,aqm,net} — use
@@ -46,37 +48,21 @@
 //                       (src/util/mutex.h); atomics and mutable statics ->
 //                       AF_GUARDED_BY / AF_ATOMIC
 //                       (src/util/thread_annotations.h). thread_local and
-//                       const are exempt; a Mutex is its own capability
-//   domain-crossing     types declared in src/{sim,core,aqm,mac,net} are
-//                       event-loop-domain; thread-entry TUs (std::thread
-//                       spawners, the parallel runner) may not name them
-//                       except via tools/analyze/domain_gateways.txt, and
-//                       domain TUs may not spawn threads. TUs declaring a
-//                       whitelisted gateway type are the boundary itself
-//                       and exempt in both directions
-//   lock-order          RAII lock acquisitions must nest in the order
-//                       declared in tools/analyze/lock_order.txt
-//                       (outermost first); re-acquiring a held lock is
-//                       flagged too
+//                       const are exempt; a Mutex is its own capability.
+//                       Reads a per-file symbol index
+//                       (tools/analyze/symbol_index.h)
 //
 // Flow-sensitive rules (per-function CFGs — tools/analyze/cfg.h — with
-// forward may/must dataflow — tools/analyze/dataflow.h):
+// forward may-dataflow — tools/analyze/dataflow.h):
 //   use-after-move      a moved-from PacketPtr / EventFn / InlineFunction /
 //                       std::unique_ptr local used on any path before
 //                       reassignment/.reset() (src/ only; null checks of
 //                       the guaranteed-null moved-from pointers are fine)
-//   guarded-field-path  an AF_GUARDED_BY field touched on a path where the
-//                       guard's MutexLock RAII scope has ended or was never
-//                       entered and no AF_REQUIRES covers the function
 //   callback-lifetime   a lambda capturing `this` (or by-reference state)
 //                       passed to the detached PostAt/PostAfter in
 //                       src/{sim,mac,core,aqm,net,obs}, or a Schedule*/At/
 //                       After handle for such a lambda dropped on some path
 //                       instead of being stored/returned/passed on
-//   unused-result       a full-statement call to an AF_NODISCARD function
-//                       (EventLoop::Schedule*, Simulation::At/After,
-//                       PacketPool::Allocate) whose result is discarded;
-//                       (void)-cast is the sanctioned explicit discard
 //
 // Suppressions: `// airfair-lint: allow(rule-id): reason` on the flagged
 // line or the line directly above it. File-scope rules (header-guard,
@@ -114,13 +100,6 @@ struct LintOptions {
   // Files or directories to lint, relative to repo_root (directories are
   // walked recursively for .h/.cc, skipping build output).
   std::vector<std::string> roots;
-  // Declared lock hierarchy (outermost first) for the lock-order rule and
-  // gateway whitelist for the domain-crossing rule, relative to repo_root.
-  // With the hierarchy file absent, lock-order still flags re-acquisition
-  // of a held lock but skips ordering checks; an absent gateway file means
-  // an empty whitelist.
-  std::string lock_order_file = "tools/analyze/lock_order.txt";
-  std::string gateway_file = "tools/analyze/domain_gateways.txt";
 };
 
 struct LintResult {

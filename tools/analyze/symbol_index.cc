@@ -54,48 +54,13 @@ std::string FirstToken(const std::string& code) {
 // The thread-safety annotation macros (src/util/thread_annotations.h) that
 // count as "a declared discipline" for a field or static. AF_ATOMIC is the
 // documentation-only marker for intentionally lock-free atomics.
-const char* kDisciplineAnnotations[] = {"AF_GUARDED_BY", "AF_PT_GUARDED_BY", "AF_ATOMIC"};
+const char* kDisciplineAnnotations[] = {"AF_GUARDED_BY", "AF_ATOMIC"};
 
 bool HasDisciplineAnnotation(const std::string& text) {
   for (const char* a : kDisciplineAnnotations) {
     if (HasToken(text, a)) return true;
   }
   return false;
-}
-
-// Last identifier of the AF_GUARDED_BY / AF_PT_GUARDED_BY argument, or "".
-// The last identifier resolves member expressions ("pool_->chunk_mutex_" ->
-// "chunk_mutex_"), matching how lock acquisitions name their lock.
-std::string GuardArgument(const std::string& text) {
-  static const char* kGuardedMacros[] = {"AF_GUARDED_BY", "AF_PT_GUARDED_BY"};
-  for (const char* macro : kGuardedMacros) {
-    const size_t pos = FindToken(text, macro);
-    if (pos == std::string::npos) continue;
-    const size_t open = text.find('(', pos);
-    if (open == std::string::npos) continue;
-    int balance = 0;
-    size_t close = std::string::npos;
-    for (size_t i = open; i < text.size(); ++i) {
-      if (text[i] == '(') ++balance;
-      if (text[i] == ')' && --balance == 0) {
-        close = i;
-        break;
-      }
-    }
-    if (close == std::string::npos) continue;
-    std::string name;
-    for (size_t i = open + 1; i < close;) {
-      if (IsIdentChar(text[i])) {
-        const size_t start = i;
-        while (i < close && IsIdentChar(text[i])) ++i;
-        name = text.substr(start, i - start);
-        continue;
-      }
-      ++i;
-    }
-    if (!name.empty()) return name;
-  }
-  return "";
 }
 
 bool IsRawMutexDecl(const std::string& code) {
@@ -255,17 +220,11 @@ struct PendingScope {
   size_t pos = 0;  // Column of the keyword on that line.
 };
 
-struct HeldLock {
-  std::string name;
-  int decl_depth = 0;  // Released when brace depth drops below this.
-};
-
 class FileIndexer {
  public:
-  FileIndexer(const IndexSourceFile& file, SymbolIndex* out) : file_(file), out_(out) {}
+  FileIndexer(const std::vector<std::string>& raw, SymbolIndex* out) : raw_(raw), out_(out) {}
 
-  void Run() {
-    const std::vector<std::string>& code = *file_.code;
+  void Run(const std::vector<std::string>& code) {
     for (size_t i = 0; i < code.size(); ++i) {
       const int line_no = static_cast<int>(i) + 1;
       CollectScopeHeads(code[i], line_no);
@@ -273,7 +232,6 @@ class FileIndexer {
       // the line; one-liner bodies ("struct X { int a; };") are not
       // descended into — the code base declares one member per line.
       MaybeRecordDeclaration(code[i], i, line_no);
-      MaybeRecordAcquisition(code[i], line_no);
       WalkBraces(code[i], line_no);
     }
     // Fields attach to their ClassSymbol when the class scope closes; a
@@ -350,9 +308,6 @@ class FileIndexer {
           PopScope();
         }
         if (depth_ > 0) --depth_;
-        while (!held_.empty() && held_.back().decl_depth > depth_) {
-          held_.pop_back();
-        }
       } else if (c == ';') {
         // "class Foo;" — a forward declaration, not a scope head.
         if (!pending_.empty() && pending_.front().line == line_no && pending_.front().pos < i) {
@@ -365,8 +320,7 @@ class FileIndexer {
   void OpenScope(const PendingScope& head) {
     scopes_.push_back(Scope{head.kind, head.name, depth_});
     if (head.kind != ScopeKind::kNamespace && !head.name.empty()) {
-      open_classes_.push_back(ClassSymbol{head.name, file_.path, head.line,
-                                          head.kind == ScopeKind::kEnum, {}});
+      open_classes_.push_back(ClassSymbol{head.name, head.line, head.kind == ScopeKind::kEnum, {}});
       class_scope_index_.push_back(scopes_.size() - 1);
     }
   }
@@ -378,7 +332,6 @@ class FileIndexer {
       ClassSymbol done = std::move(open_classes_.back());
       open_classes_.pop_back();
       class_scope_index_.pop_back();
-      out_->files_by_type[done.name].push_back(file_.path);
       out_->classes.push_back(std::move(done));
     }
     scopes_.pop_back();
@@ -398,13 +351,7 @@ class FileIndexer {
     if (HasDisciplineAnnotation(code_line)) return true;
     // A marker on the raw line above also counts, for positions where the
     // macro cannot syntactically attach.
-    return line_idx > 0 && HasDisciplineAnnotation((*file_.raw)[line_idx - 1]);
-  }
-
-  std::string GuardNear(const std::string& code_line, size_t line_idx) const {
-    const std::string guard = GuardArgument(code_line);
-    if (!guard.empty()) return guard;
-    return line_idx > 0 ? GuardArgument((*file_.raw)[line_idx - 1]) : "";
+    return line_idx > 0 && HasDisciplineAnnotation(raw_[line_idx - 1]);
   }
 
   void MaybeRecordDeclaration(const std::string& raw_code, size_t line_idx, int line_no) {
@@ -446,10 +393,7 @@ class FileIndexer {
       const std::string name = DeclaredName(code);
       if (name.empty()) return;
       FieldSymbol field;
-      field.class_name = open_classes_.back().name;
       field.name = name;
-      field.decl = code;
-      field.file = file_.path;
       field.line = line_no;
       field.is_static = is_static;
       field.is_thread_local = is_thread_local;
@@ -458,7 +402,6 @@ class FileIndexer {
       field.is_raw_mutex = is_raw_mutex;
       field.is_wrapped_mutex = is_wrapped_mutex;
       field.has_annotation = annotated;
-      field.guard = GuardNear(code, line_idx);
       open_classes_.back().fields.push_back(std::move(field));
       return;
     }
@@ -477,8 +420,6 @@ class FileIndexer {
     if (name.empty()) return;
     StaticSymbol sym;
     sym.name = name;
-    sym.decl = code;
-    sym.file = file_.path;
     sym.line = line_no;
     sym.is_function_local = !at_namespace_scope;
     sym.is_thread_local = is_thread_local;
@@ -487,104 +428,24 @@ class FileIndexer {
     sym.is_raw_mutex = is_raw_mutex;
     sym.is_wrapped_mutex = is_wrapped_mutex;
     sym.has_annotation = annotated;
-    sym.guard = GuardNear(code, line_idx);
     out_->statics.push_back(std::move(sym));
   }
 
-  // --- lock acquisitions --------------------------------------------------
-
-  void MaybeRecordAcquisition(const std::string& code, int line_no) {
-    static const char* kGuards[] = {"MutexLock", "std::lock_guard", "std::unique_lock",
-                                    "std::scoped_lock"};
-    for (const char* guard : kGuards) {
-      size_t pos = FindToken(code, guard);
-      if (pos == std::string::npos) continue;
-      // Depth at the token's column: braces earlier on this line count
-      // ("{ MutexLock l(&m); }" acquires inside that block, and WalkBraces
-      // — which runs after this — must release it at the closing brace).
-      int decl_depth = depth_;
-      for (size_t b = 0; b < pos; ++b) {
-        if (code[b] == '{') ++decl_depth;
-        if (code[b] == '}' && decl_depth > 0) --decl_depth;
-      }
-      size_t i = pos + std::string(guard).size();
-      if (i < code.size() && code[i] == '<') {  // Template argument list.
-        int angle = 0;
-        while (i < code.size()) {
-          if (code[i] == '<') ++angle;
-          if (code[i] == '>' && --angle == 0) {
-            ++i;
-            break;
-          }
-          ++i;
-        }
-      }
-      while (i < code.size() && std::isspace(static_cast<unsigned char>(code[i])) != 0) ++i;
-      // An RAII guard *variable*: identifier then '(' — "MutexLock l(&mu);".
-      // "MutexLock(" (a constructor declaration) and "MutexLock l;" do not
-      // acquire anything here.
-      const size_t var_start = i;
-      while (i < code.size() && IsIdentChar(code[i])) ++i;
-      if (i == var_start) return;
-      while (i < code.size() && std::isspace(static_cast<unsigned char>(code[i])) != 0) ++i;
-      if (i >= code.size() || code[i] != '(') return;
-      int balance = 0;
-      const size_t open = i;
-      size_t close = std::string::npos;
-      while (i < code.size()) {
-        if (code[i] == '(') ++balance;
-        if (code[i] == ')' && --balance == 0) {
-          close = i;
-          break;
-        }
-        ++i;
-      }
-      if (close == std::string::npos) return;
-      std::string expr = code.substr(open + 1, close - open - 1);
-      // Multi-lock std::scoped_lock: the first lock is representative (the
-      // call itself orders its arguments deadlock-free).
-      const size_t comma = expr.find(',');
-      if (comma != std::string::npos) expr = expr.substr(0, comma);
-      std::string lock_name;
-      for (size_t k = 0; k < expr.size();) {
-        if (IsIdentChar(expr[k])) {
-          const size_t start = k;
-          while (k < expr.size() && IsIdentChar(expr[k])) ++k;
-          lock_name = expr.substr(start, k - start);
-          continue;
-        }
-        ++k;
-      }
-      if (lock_name.empty()) return;
-      LockAcquisition acq;
-      acq.lock_name = lock_name;
-      for (const HeldLock& h : held_) acq.held.push_back(h.name);
-      acq.file = file_.path;
-      acq.line = line_no;
-      out_->acquisitions.push_back(std::move(acq));
-      held_.push_back(HeldLock{lock_name, decl_depth});
-      return;
-    }
-  }
-
-  const IndexSourceFile& file_;
+  const std::vector<std::string>& raw_;
   SymbolIndex* out_;
   int depth_ = 0;
   std::vector<Scope> scopes_;
   std::deque<PendingScope> pending_;
   std::vector<ClassSymbol> open_classes_;
   std::vector<size_t> class_scope_index_;
-  std::vector<HeldLock> held_;
 };
 
 }  // namespace
 
-SymbolIndex BuildSymbolIndex(const std::vector<IndexSourceFile>& files) {
+SymbolIndex BuildSymbolIndex(const std::vector<std::string>& code,
+                             const std::vector<std::string>& raw) {
   SymbolIndex index;
-  for (const IndexSourceFile& file : files) {
-    if (file.code == nullptr || file.raw == nullptr) continue;
-    FileIndexer(file, &index).Run();
-  }
+  FileIndexer(raw, &index).Run(code);
   return index;
 }
 
