@@ -22,7 +22,7 @@ int main() {
   std::printf("Ablation (a): RX airtime accounting under bidirectional TCP\n");
   PrintHeaderRule();
   {
-    // Cells: rx {true, false}, sharded by the parallel runner.
+    // Cells: rx {true, false}.
     const auto results = RunSchemeRepetitions<double>(2, reps, [&](int cell, int rep) {
       TestbedConfig config;
       config.seed = 1100 + static_cast<uint64_t>(rep);

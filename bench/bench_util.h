@@ -6,10 +6,10 @@
 // repetition counts default to values that keep each binary's wall time in
 // the seconds range; environment variables AIRFAIR_REPS and
 // AIRFAIR_SECONDS scale them up for full-fidelity runs.
-
-// Repetitions run through the parallel runner (src/scenario/parallel_runner.h):
-// AIRFAIR_THREADS controls the worker count (default: hardware concurrency),
-// and results are bit-identical for any thread count.
+//
+// A bench is one process on one thread: its (scheme, repetition) grid runs
+// in order. The suite uses more cores by running several benches at once
+// (README has the recipe).
 //
 // Perf tracking: set AIRFAIR_BENCH_JSON=<path> to append one JSON line per
 // binary run with wall time, simulated/wall ratio, events/sec and allocation
@@ -21,8 +21,10 @@
 #ifndef AIRFAIR_BENCH_BENCH_UTIL_H_
 #define AIRFAIR_BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -31,28 +33,67 @@
 #include <vector>
 
 #include "src/scenario/experiments.h"
-#include "src/scenario/parallel_runner.h"
 #include "src/scenario/testbed.h"
 #include "src/util/stats.h"
 
 namespace airfair {
 
-inline int BenchRepetitions(int fallback = 5) {
-  if (const char* env = std::getenv("AIRFAIR_REPS")) {
-    return std::max(1, std::atoi(env));
+// Numeric environment knobs are parsed strictly: a malformed value, or one
+// below `min`, exits 2 with a message naming the variable before any
+// simulation runs, instead of quietly running a different experiment. An
+// unset variable yields `fallback`.
+inline int EnvWholeNumber(const char* name, int fallback, int min) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) {
+    return fallback;
   }
-  return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || errno != 0 || value < min || value > INT_MAX) {
+    std::fprintf(stderr, "%s=\"%s\": expected a whole number >= %d\n", name, env, min);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
+}
+
+inline double EnvNumber(const char* name, double fallback, double min) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) {
+    return fallback;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(value) || value < min) {
+    std::fprintf(stderr, "%s=\"%s\": expected a number >= %g\n", name, env, min);
+    std::exit(2);
+  }
+  return value;
+}
+
+inline int BenchRepetitions(int fallback = 5) {
+  return EnvWholeNumber("AIRFAIR_REPS", fallback, /*min=*/1);
 }
 
 inline ExperimentTiming BenchTiming(double default_measure_seconds = 20.0) {
-  double seconds = default_measure_seconds;
-  if (const char* env = std::getenv("AIRFAIR_SECONDS")) {
-    seconds = std::max(1.0, std::atof(env));
-  }
   ExperimentTiming timing;
   timing.warmup = TimeUs::FromSeconds(5);
-  timing.measure = TimeUs::FromSeconds(seconds);
+  timing.measure =
+      TimeUs::FromSeconds(EnvNumber("AIRFAIR_SECONDS", default_measure_seconds, /*min=*/1.0));
   return timing;
+}
+
+// Runs fn(scheme, rep) over the (scheme, repetition) grid in order and
+// returns the results as out[scheme][rep].
+template <typename Result, typename Fn>
+std::vector<std::vector<Result>> RunSchemeRepetitions(int schemes, int reps, Fn&& fn) {
+  std::vector<std::vector<Result>> out(static_cast<size_t>(schemes));
+  for (int scheme = 0; scheme < schemes; ++scheme) {
+    for (int rep = 0; rep < reps; ++rep) {
+      out[static_cast<size_t>(scheme)].push_back(fn(scheme, rep));
+    }
+  }
+  return out;
 }
 
 inline const std::vector<QueueScheme>& AllSchemes() {
@@ -103,9 +144,8 @@ inline void ApplyBenchAuditEnv() {
 // export is requested the Testbeds built by this bench will trace and write
 // artifacts on destruction; note the active paths up front so a bench log
 // records where its artifacts went. Reminder printed for multi-rep runs:
-// every repetition writes through the same path (last finisher wins per
-// {scheme}), so artifact-producing CI runs pin AIRFAIR_REPS=1 /
-// AIRFAIR_THREADS=1 for byte-stable outputs.
+// repetitions run in order and write through the same paths, so each file
+// keeps the last repetition written to it (per {scheme}).
 inline void ApplyBenchTraceEnv() {
   const char* trace_json = std::getenv("AIRFAIR_TRACE_JSON");
   const char* series_json = std::getenv("AIRFAIR_TIMESERIES_JSON");
@@ -119,8 +159,8 @@ inline void ApplyBenchTraceEnv() {
               series ? " timeseries=" : "", series ? series_json : "");
   if (BenchRepetitions() > 1) {
     std::printf(
-        "[trace] note: %d repetitions share the export paths; set "
-        "AIRFAIR_REPS=1 AIRFAIR_THREADS=1 for stable artifacts\n",
+        "[trace] note: %d repetitions run in order and share the export "
+        "paths; each file keeps the last repetition's run\n",
         BenchRepetitions());
   }
 }
@@ -175,11 +215,10 @@ class BenchReporter {
 
     std::printf(
         "[perf] %s: wall=%.2fs sim=%.0fs (x%.1f) events=%lld (%.2fM/s) "
-        "packets=%lld pooled + %lld heap, threads=%d\n",
+        "packets=%lld pooled + %lld heap\n",
         name_.c_str(), wall_seconds, simulated_seconds, ratio,
         static_cast<long long>(dispatched), events_per_sec / 1e6,
-        static_cast<long long>(pool_packets), static_cast<long long>(heap_packets),
-        DefaultThreadCount());
+        static_cast<long long>(pool_packets), static_cast<long long>(heap_packets));
 
     const char* path = std::getenv("AIRFAIR_BENCH_JSON");
     if (path == nullptr || *path == '\0') {
@@ -198,15 +237,14 @@ class BenchReporter {
         "\"events_per_wall_sec\":%.0f,\"packets_pooled\":%lld,"
         "\"packets_pool_recycled\":%lld,\"packet_pool_chunks\":%lld,"
         "\"packets_heap\":%lld,\"tokens_created\":%lld,"
-        "\"tokens_recycled\":%lld,\"threads\":%d,\"reps\":%d}\n",
+        "\"tokens_recycled\":%lld,\"reps\":%d}\n",
         name_.c_str(), wall_seconds, simulated_seconds, ratio,
         static_cast<long long>(dispatched), static_cast<long long>(scheduled),
         static_cast<long long>(detached), events_per_sec,
         static_cast<long long>(pool_packets), static_cast<long long>(pool_recycled),
         static_cast<long long>(pool_chunks), static_cast<long long>(heap_packets),
         static_cast<long long>(tokens_created),
-        static_cast<long long>(tokens_recycled), DefaultThreadCount(),
-        BenchRepetitions());
+        static_cast<long long>(tokens_recycled), BenchRepetitions());
     std::fclose(f);
   }
 

@@ -73,7 +73,7 @@ int main() {
               "throughput Mbps", "total");
 
   const std::vector<QueueScheme>& schemes = AllSchemes();
-  // One cell per scheme, single repetition each, sharded by the parallel runner.
+  // One cell per scheme, single repetition each.
   const auto results = RunSchemeRepetitions<RateControlResult>(
       static_cast<int>(schemes.size()), 1,
       [&](int cell, int /*rep*/) { return RunRateControl(schemes[static_cast<size_t>(cell)]); });

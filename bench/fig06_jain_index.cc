@@ -41,7 +41,7 @@ int main() {
   const std::vector<QueueScheme>& schemes = AllSchemes();
   constexpr int kTraffics = 3;
 
-  // Shard the full (scheme, traffic, rep) grid: cell = scheme * 3 + traffic.
+  // The full (scheme, traffic, rep) grid: cell = scheme * 3 + traffic.
   const auto results = RunSchemeRepetitions<double>(
       static_cast<int>(schemes.size()) * kTraffics, reps, [&](int cell, int rep) {
         const QueueScheme scheme = schemes[static_cast<size_t>(cell / kTraffics)];

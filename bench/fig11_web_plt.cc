@@ -21,14 +21,11 @@ struct PltCell {
 };
 
 PltCell MedianPlt(QueueScheme scheme, const WebPage& page, bool slow_client, int reps) {
-  // Repetitions of one table cell, sharded by the parallel runner.
-  const auto results = RunRepetitions<WebResult>(reps, [&](int rep) {
-    return RunWeb(scheme, 1000 + static_cast<uint64_t>(rep), page, slow_client,
-                  TimeUs::FromSeconds(120), 3);
-  });
   PltCell cell;
   std::vector<double> plt;
-  for (const WebResult& r : results) {
+  for (int rep = 0; rep < reps; ++rep) {
+    const WebResult r = RunWeb(scheme, 1000 + static_cast<uint64_t>(rep), page, slow_client,
+                               TimeUs::FromSeconds(120), 3);
     if (r.completed_fetches > 0) {
       plt.push_back(r.mean_plt_s);
       cell.fetches += r.completed_fetches;

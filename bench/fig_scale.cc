@@ -20,7 +20,6 @@
 // the per-station costs, not a growing offered load.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 
@@ -28,14 +27,12 @@ using namespace airfair;
 
 namespace {
 
-// Default sweep; AIRFAIR_SCALE_STATIONS=<N> pins it to a single point
-// (CI uses 128 for a stable perf record).
+// Default sweep; AIRFAIR_SCALE_STATIONS=<N>, a whole number >= 2, pins it
+// to a single point (CI uses 128 for a stable perf record).
 std::vector<int> SweepStations() {
-  if (const char* env = std::getenv("AIRFAIR_SCALE_STATIONS")) {
-    const int n = std::atoi(env);
-    if (n >= 2) {
-      return {n};
-    }
+  const int pinned = EnvWholeNumber("AIRFAIR_SCALE_STATIONS", /*fallback=*/0, /*min=*/2);
+  if (pinned > 0) {
+    return {pinned};
   }
   return {8, 64, 128, 256};
 }

@@ -165,8 +165,8 @@ void BM_EventLoopScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleFire)->Arg(0)->Arg(1);
 
-// Per-event cost of the tracing layer with a ring installed: thread-local
-// buffer load + 48-byte record write through the AF_TRACE_* macro (the same
+// Per-event cost of the tracing layer with a ring installed: current-buffer
+// load + 48-byte record write through the AF_TRACE_* macro (the same
 // path every instrumented hot-path site takes in a traced run). The ring
 // wraps many times over a benchmark run; overwrite is the steady state.
 void BM_TraceEventAppend(benchmark::State& state) {
@@ -187,11 +187,11 @@ void BM_TraceEventAppend(benchmark::State& state) {
 BENCHMARK(BM_TraceEventAppend);
 
 // The same macro with no buffer installed: what every untraced run pays at
-// each instrumentation site (one thread-local load + branch). This is the
+// each instrumentation site (one load + branch). This is the
 // number the "tracing compiled in but disabled must not slow the simulator"
 // guarantee rests on; bench_diff gates it like any other hot-path cost.
 void BM_TraceDisabledOverhead(benchmark::State& state) {
-  ScopedTraceBuffer scope(nullptr);  // Explicitly no buffer on this thread.
+  ScopedTraceBuffer scope(nullptr);  // Explicitly no buffer installed.
   TimeUs now;
   int depth = 0;
   for (auto _ : state) {

@@ -43,7 +43,7 @@ int main() {
   const ExperimentTiming timing = BenchTiming(20);
   const int reps = BenchRepetitions(3);
 
-  // Two cells (baseline, airtime) x reps, sharded by the parallel runner.
+  // Two cells (baseline, airtime) x reps.
   const auto all = RunSchemeRepetitions<StationMeasurements>(2, reps, [&](int cell, int rep) {
     TestbedConfig config;
     config.seed = 100 + static_cast<uint64_t>(rep);

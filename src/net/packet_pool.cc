@@ -28,21 +28,13 @@ PacketPool::~PacketPool() {
   GetCounter("packets.pool.chunks").Increment(chunks());
 }
 
-int64_t PacketPool::chunks() const {
-  MutexLock lock(&chunk_mutex_);
-  return static_cast<int64_t>(chunks_.size());
-}
-
 void PacketPool::AddChunk() {
   // make_unique<Packet[]> value-initialises; fields are overwritten again on
   // Allocate, but the free-list links must start out sane.
   std::unique_ptr<Packet[]> storage =
       std::make_unique<Packet[]>(static_cast<size_t>(chunk_packets_));
   Packet* chunk = storage.get();
-  {
-    MutexLock lock(&chunk_mutex_);
-    chunks_.push_back(std::move(storage));
-  }
+  chunks_.push_back(std::move(storage));
   for (int i = chunk_packets_ - 1; i >= 0; --i) {
     chunk[i].pool_next = free_head_;
     free_head_ = &chunk[i];

@@ -3,8 +3,7 @@
 // Every simulated packet used to cost one heap allocation + one deallocation
 // (std::make_unique<Packet> at ~10 call sites). With tens of millions of
 // packets per figure run, the allocator became a measurable fraction of the
-// simulator's time — and a scalability obstacle once repetitions run on
-// parallel threads, where a shared malloc arena serialises them.
+// simulator's time.
 //
 // The pool allocates Packet storage in chunks and recycles returned packets
 // through an intrusive free list (`Packet::pool_next`). The custom deleter
@@ -12,11 +11,8 @@
 // back-pointer), so ownership transfer via PacketPtr works exactly as
 // before and call sites only change from `std::make_unique<Packet>()` to
 // `host->NewPacket()`. After the initial warmup the steady state performs
-// zero heap allocations per packet.
-//
-// Thread model: a pool belongs to one simulation (= one repetition) and is
-// used only by the thread running it. Chunk growth registers the new chunk
-// under `chunk_mutex_`.
+// zero heap allocations per packet. A pool belongs to one simulation
+// (= one repetition).
 
 #ifndef AIRFAIR_SRC_NET_PACKET_POOL_H_
 #define AIRFAIR_SRC_NET_PACKET_POOL_H_
@@ -27,8 +23,6 @@
 
 #include "src/net/packet.h"
 #include "src/util/attributes.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace airfair {
 
@@ -38,7 +32,7 @@ class PacketPool {
   // to make chunk allocations rare, small enough not to bloat 30-station
   // scenarios. Larger topologies pass a bigger `chunk_packets` (the Testbed
   // scales it with the station count) so a 256-station warmup does not pay
-  // hundreds of chunk_mutex_ acquisitions.
+  // hundreds of chunk allocations.
   static constexpr int kChunkPackets = 256;
 
   explicit PacketPool(int chunk_packets = kChunkPackets)
@@ -67,7 +61,7 @@ class PacketPool {
   int64_t total_allocated() const { return allocated_; }
   int64_t total_recycled() const { return recycled_; }
   int64_t outstanding() const { return outstanding_; }
-  int64_t chunks() const;
+  int64_t chunks() const { return static_cast<int64_t>(chunks_.size()); }
 
  private:
   void AddChunk();
@@ -77,8 +71,7 @@ class PacketPool {
   int64_t allocated_ = 0;    // Allocate() calls.
   int64_t recycled_ = 0;     // Allocate() calls served from the free list.
   int64_t outstanding_ = 0;  // Allocated minus released.
-  mutable Mutex chunk_mutex_;
-  std::vector<std::unique_ptr<Packet[]>> chunks_ AF_GUARDED_BY(chunk_mutex_);
+  std::vector<std::unique_ptr<Packet[]>> chunks_;
 };
 
 }  // namespace airfair

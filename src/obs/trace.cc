@@ -16,9 +16,7 @@ size_t RoundUpPow2(size_t n) {
 }
 
 TraceBuffer*& CurrentSlot() {
-  // thread_local for the same reason as the check hooks (util/check.cc):
-  // each parallel-runner worker owns its repetition's buffer.
-  thread_local TraceBuffer* current = nullptr;
+  static TraceBuffer* current = nullptr;
   return current;
 }
 

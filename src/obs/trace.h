@@ -11,23 +11,16 @@
 //   - Compile-time gate (AIRFAIR_TRACE, on by default) plus a runtime
 //     gate: instrumentation sites use the AF_TRACE_* macros below, which
 //     compile to nothing when tracing is compiled out and to a single
-//     thread-local load + null check when it is compiled in but no buffer
-//     is installed. Benches therefore carry the instrumentation at no
-//     measurable cost unless a run opts in (AIRFAIR_TRACE=1 or one of the
+//     load + null check when it is compiled in but no buffer is installed.
+//     Benches therefore carry the instrumentation at no measurable cost
+//     unless a run opts in (AIRFAIR_TRACE=1 or one of the
 //     AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON export paths is set).
 //   - Records are PODs of exactly 48 bytes; strings never enter the ring.
 //     The few sites that want a name attach an interned id resolved
 //     against a pointer-identity table (string literals only).
-//
-// Thread model (DESIGN.md §8): the "current" buffer is a thread_local
-// pointer, mirroring the check-failure hooks in util/check.h — each worker
-// of the parallel repetition runner installs its own Testbed's buffer, so
-// concurrent repetitions neither race nor interleave their traces. A
-// TraceBuffer belongs to the installing thread for its whole lifetime:
-// install and uninstall must happen on the same thread (the Testbed
-// destructor fail-fasts on a mismatch), and the thread_local slot itself
-// is exempt from guarded-field-discipline because per-thread ownership,
-// not locking, is the declared discipline.
+//   - The "current" buffer is one process-wide pointer, like the
+//     check-failure hooks in util/check.h: the live Testbed installs its
+//     buffer and restores the previous one on destruction (DESIGN.md §8).
 
 #ifndef AIRFAIR_SRC_OBS_TRACE_H_
 #define AIRFAIR_SRC_OBS_TRACE_H_
@@ -96,8 +89,7 @@ struct TraceRecord {
 static_assert(sizeof(TraceRecord) == 48, "trace records are 48-byte PODs");
 
 // Overwrite-oldest ring of TraceRecords plus a small string-intern table.
-// Not thread-safe by itself: one buffer belongs to one repetition thread
-// (see SetCurrentTraceBuffer below).
+// One buffer belongs to one repetition (see SetCurrentTraceBuffer below).
 class TraceBuffer {
  public:
   struct Config {
@@ -127,9 +119,8 @@ class TraceBuffer {
   // re-scanning the ring every sample tick, which was O(ring) per sample
   // and fell over at large station counts. A plain function pointer plus
   // context (no std::function) keeps the disabled path a single null check
-  // and the hot path allocation-free. The sink runs on the buffer's owning
-  // thread (Append is single-threaded by the install discipline above) and
-  // must not append to the buffer reentrantly.
+  // and the hot path allocation-free. The sink must not append to the
+  // buffer reentrantly.
   using DeliverSinkFn = void (*)(void* ctx, const TraceRecord& rec);
   void set_deliver_sink(DeliverSinkFn sink, void* ctx) {
     deliver_sink_ = sink;
@@ -210,13 +201,10 @@ class TraceBuffer {
 };
 
 // --- Current-buffer installation (runtime gate) ----------------------------
-//
-// thread_local, like the check hooks: each parallel-runner worker traces
-// into its own repetition's buffer.
 
 TraceBuffer* CurrentTraceBuffer();
-// Installs `buffer` (nullptr disables tracing on this thread) and returns
-// the previously installed buffer.
+// Installs `buffer` (nullptr disables tracing) and returns the previously
+// installed buffer.
 TraceBuffer* SetCurrentTraceBuffer(TraceBuffer* buffer);
 
 // RAII installer used by the Testbed and tests.

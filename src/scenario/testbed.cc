@@ -4,14 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "src/aqm/fifo.h"
 #include "src/aqm/fq_codel.h"
 #include "src/obs/export.h"
 #include "src/util/check.h"
-#include "src/util/mutex.h"
 #include "src/util/stats.h"
 
 namespace airfair {
@@ -65,7 +63,7 @@ namespace {
 
 // Packet-pool chunk size scaled with the topology: the default 256-packet
 // chunk is right for the paper's 3-30 station setups, but a 256-station
-// warmup at 256/chunk pays thousands of chunk-mutex growth steps. 16
+// warmup at 256/chunk pays thousands of chunk growth steps. 16
 // packets of headroom per station keeps small scenarios exactly as before
 // (max() floors at the default) and amortises growth at large N.
 int DerivedChunkPackets(const TestbedConfig& config) {
@@ -247,16 +245,6 @@ Testbed::~Testbed() {
     SetCheckTimeProvider(nullptr);
   }
   if (trace_ != nullptr) {
-    // The trace buffer and flight recorder live in *thread-local* slots of
-    // the thread that ran BuildTrace. Restoring them from a different
-    // thread would silently clobber that thread's hooks and leave the
-    // installing thread's slot dangling at a freed buffer — a latent
-    // use-after-free once testbeds migrate between threads. Fail fast
-    // instead: a traced testbed must be destroyed on the thread that built
-    // it (tests/obs_trace_test.cc TracedTestbedCrossThreadDestructionChecked).
-    AF_CHECK(std::this_thread::get_id() == obs_thread_)
-        << "traced Testbed destroyed on a different thread than the one "
-           "that installed its thread-local observability hooks";
     ExportTraceArtifacts();
     // Uninstall this testbed's observability hooks before trace_ is freed
     // (members destroy after this body runs), restoring whatever was
@@ -299,16 +287,6 @@ std::string ExpandExportPath(const std::string& path, const std::string& scheme)
   return expanded;
 }
 
-// Export serialisation: parallel repetition workers each own a testbed and
-// destroy it on their own thread; the filesystem writes (and the shared
-// stderr notes) go one at a time. Annotated wrapper, not a raw std::mutex,
-// so clang's thread-safety analysis sees the acquisition (and the static
-// is exempt from guarded-field-discipline: a mutex is its own capability).
-Mutex& ExportMutex() {
-  static Mutex mutex;
-  return mutex;
-}
-
 }  // namespace
 
 void Testbed::BuildTrace(const TestbedConfig& config) {
@@ -324,7 +302,6 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   trace_config.intern_capacity =
       std::max(trace_config.intern_capacity, 64 + 2 * config.stations.size());
   trace_ = std::make_unique<TraceBuffer>(trace_config);
-  obs_thread_ = std::this_thread::get_id();
   Simulation* sim = &sim_;
   trace_->set_clock([sim] { return sim->now(); });
   prev_trace_ = SetCurrentTraceBuffer(trace_.get());
@@ -475,7 +452,6 @@ void Testbed::ExportTraceArtifacts() {
   for (const char c : run_label_.substr(0, run_label_.find(' '))) {
     scheme.push_back(c == '-' ? '_' : c);
   }
-  MutexLock lock(&ExportMutex());
   if (trace_path != nullptr && *trace_path != '\0') {
     const std::string path = ExpandExportPath(trace_path, scheme);
     ChromeTraceMetadata meta;

@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/mac_queue_backend.h"
@@ -104,7 +103,7 @@ struct TestbedConfig {
   // run opts in: AIRFAIR_TRACE=1, or one of the export paths
   // (AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON) is set, or a test flips
   // this flag. When on, the Testbed owns a TraceBuffer (ring capacity
-  // overridable with AIRFAIR_TRACE_RING), installs it as the thread's
+  // overridable with AIRFAIR_TRACE_RING), installs it as the process's
   // current buffer, arms the crash flight recorder, and samples the
   // timeseries below on `sample_interval` cadence. Tracing never changes
   // simulation results (tests/obs_trace_test.cc holds this bit-identical).
@@ -247,15 +246,11 @@ class Testbed {
 
   // --- observability (src/obs) ---
   // Declared last (destroyed first): the destructor uninstalls the
-  // thread-local buffer / flight recorder before trace_ itself is freed.
+  // current buffer / flight recorder before trace_ itself is freed.
   // The sample timer is a detached self-reposting event that dies with the
   // loop, so no handle needs to outlive anything.
   std::unique_ptr<TraceBuffer> trace_;
   std::unique_ptr<Timeseries> timeseries_;
-  // Thread that installed the thread-local observability hooks; the
-  // destructor checks it still matches (the hooks cannot be restored from
-  // another thread without corrupting both threads' slots).
-  std::thread::id obs_thread_;
   TraceBuffer* prev_trace_ = nullptr;          // Restored on destruction.
   CheckFlightRecorder prev_flight_recorder_;   // Likewise.
   bool flight_recorder_installed_ = false;

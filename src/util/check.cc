@@ -7,23 +7,18 @@
 namespace airfair {
 namespace {
 
-// Both hooks are thread_local: each repetition of the parallel runner owns
-// its Testbed on a worker thread, and the Testbed installs a time provider
-// bound to its own simulation clock. Process-wide globals would race and —
-// worse — stamp failures from one repetition with another repetition's
-// simulated time.
 CheckFailureHandler& Handler() {
-  thread_local CheckFailureHandler handler;  // Empty = default abort behaviour.
+  static CheckFailureHandler handler;  // Empty = default abort behaviour.
   return handler;
 }
 
 std::function<TimeUs()>& TimeProvider() {
-  thread_local std::function<TimeUs()> provider;
+  static std::function<TimeUs()> provider;
   return provider;
 }
 
 CheckFlightRecorder& FlightRecorder() {
-  thread_local CheckFlightRecorder recorder;
+  static CheckFlightRecorder recorder;
   return recorder;
 }
 
@@ -58,7 +53,7 @@ void FailCheck(const char* file, int line, const std::string& message) {
   // history (the Testbed hooks the trace buffer's tail here). The guard
   // stops a recorder that itself fails a check from recursing.
   if (FlightRecorder()) {
-    thread_local bool dumping = false;
+    static bool dumping = false;
     if (!dumping) {
       dumping = true;
       FlightRecorder()();

@@ -18,11 +18,9 @@
 // uses the same hook to convert hot-path check failures into recorded
 // violations when running in non-fatal mode.
 //
-// Concurrency model (DESIGN.md §8): all three hooks below are thread_local
-// — per-thread ownership is the discipline, not locking — so they need no
-// AF_GUARDED_BY annotations and are exempt from the lint engine's
-// guarded-field-discipline rule. Installers must uninstall on the same
-// thread; the Testbed destructor enforces this for its hooks.
+// The three hooks below are process-wide, like everything else a Testbed
+// touches (DESIGN.md §8): a Testbed installs its clock and flight recorder
+// and removes them again when it is destroyed.
 
 #ifndef AIRFAIR_SRC_UTIL_CHECK_H_
 #define AIRFAIR_SRC_UTIL_CHECK_H_
@@ -44,15 +42,12 @@ using CheckFailureHandler =
     std::function<void(const char* file, int line, const std::string& message)>;
 
 // Installs `handler`; passing nullptr restores the default abort handler.
-// Returns the previous handler. Both hooks are **per-thread** (thread_local):
-// each worker of the parallel repetition runner gets its own handler and
-// time provider, so concurrent repetitions neither race on installation nor
-// stamp failures with a sibling repetition's clock.
+// Returns the previous handler.
 CheckFailureHandler SetCheckFailureHandler(CheckFailureHandler handler);
 
 // Installs a provider for the current simulated time, included in failure
 // messages as "t=<n>us". Passing nullptr clears it. The Testbed and the
-// Auditor install the owning Simulation's clock (on the calling thread).
+// Auditor install the owning Simulation's clock.
 void SetCheckTimeProvider(std::function<TimeUs()> provider);
 
 // Crash flight recorder: invoked (at most once, re-entrancy guarded) on
@@ -61,8 +56,7 @@ void SetCheckTimeProvider(std::function<TimeUs()> provider);
 // Not invoked when a replacement failure handler is installed (tests and
 // the non-fatal audit mode handle failures themselves). The Testbed
 // installs a hook that dumps the tail of its trace buffer (src/obs).
-// Passing nullptr clears it; returns the previous recorder. thread_local,
-// like the other hooks.
+// Passing nullptr clears it; returns the previous recorder.
 using CheckFlightRecorder = std::function<void()>;
 CheckFlightRecorder SetCheckFlightRecorder(CheckFlightRecorder recorder);
 

@@ -1,19 +1,12 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstdio>
-
-#include "src/util/thread_annotations.h"
 
 namespace airfair {
 
 namespace {
 
-// Relaxed atomic: the level is a filter, not a synchronisation point — a
-// worker thread observing a stale level for one message is benign, and the
-// emission itself is a single fprintf (atomic per call under POSIX stdio
-// locking), so interleaved lines stay whole.
-std::atomic<LogLevel> g_level AF_ATOMIC{LogLevel::kWarning};
+LogLevel g_level = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -35,11 +28,9 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
+LogLevel GetLogLevel() { return g_level; }
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
+void SetLogLevel(LogLevel level) { g_level = level; }
 
 void EmitLogLine(LogLevel level, const char* file, int line, const std::string& message) {
   // kOff is a threshold sentinel, not a message severity. Without this

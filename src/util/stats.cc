@@ -6,9 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
-
 namespace airfair {
 
 void RunningStats::Add(double x) {
@@ -160,63 +157,32 @@ double MedianOf(std::vector<double> values) {
 
 namespace {
 
-// The process-global counter registry. One class owns both the mutex and
-// the map it guards, so the lock/data relationship is machine-checked
-// (AF_GUARDED_BY + clang -Wthread-safety) instead of commented — the
-// previous arrangement of two separate leaked statics left nothing tying
-// CounterMutex() to CounterMap(), and a new call site could take one
-// without the other.
-//
-// std::map keeps snapshot output sorted and never invalidates references
-// on insert, which is what makes Get's returned reference stable. The
-// mutex guards map *structure* (insertions / iteration); the counter
-// values themselves are atomics, so returned references can be bumped
-// lock-free by worker threads of the parallel repetition runner.
-class CounterRegistry {
- public:
-  Counter& Get(const std::string& name) AF_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return counters_[name];
-  }
-
-  std::vector<std::pair<std::string, int64_t>> Snapshot() AF_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    std::vector<std::pair<std::string, int64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto& [name, counter] : counters_) {
-      out.emplace_back(name, counter.value());
-    }
-    return out;
-  }
-
-  void Reset() AF_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    for (auto& [name, counter] : counters_) {
-      counter.Set(0);
-    }
-  }
-
- private:
-  Mutex mu_;
-  std::map<std::string, Counter> counters_ AF_GUARDED_BY(mu_);
-};
-
-CounterRegistry& Registry() {
-  // Leaked singleton: counters are read by atexit-ordered reporters, so the
-  // registry must never be destroyed.
-  // airfair-lint: allow(guarded-field-discipline): leaked singleton; all access goes through the annotated CounterRegistry API
-  static auto* registry = new CounterRegistry();
+// Leaked singleton: counters are read by atexit-ordered reporters, so the
+// registry must never be destroyed. std::map keeps snapshot output sorted
+// and never invalidates references on insert, which is what makes
+// GetCounter's returned reference stable.
+std::map<std::string, Counter>& Registry() {
+  static auto* registry = new std::map<std::string, Counter>();
   return *registry;
 }
 
 }  // namespace
 
-Counter& GetCounter(const std::string& name) { return Registry().Get(name); }
+Counter& GetCounter(const std::string& name) { return Registry()[name]; }
 
 std::vector<std::pair<std::string, int64_t>> CounterSnapshot() {
-  return Registry().Snapshot();
+  std::vector<std::pair<std::string, int64_t>> out;
+  out.reserve(Registry().size());
+  for (const auto& [name, counter] : Registry()) {
+    out.emplace_back(name, counter.value());
+  }
+  return out;
 }
 
-void ResetCounters() { Registry().Reset(); }
+void ResetCounters() {
+  for (auto& [name, counter] : Registry()) {
+    counter.Set(0);
+  }
+}
 
 }  // namespace airfair

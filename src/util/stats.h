@@ -5,7 +5,6 @@
 #ifndef AIRFAIR_SRC_UTIL_STATS_H_
 #define AIRFAIR_SRC_UTIL_STATS_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -13,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/util/thread_annotations.h"
 #include "src/util/time.h"
 
 namespace airfair {
@@ -44,24 +42,21 @@ class RunningStats {
 // Collects individual samples and answers quantile / CDF queries.
 // Used for the latency distributions in Figures 1, 4, 8 and 10.
 //
-// Thread-safety note: the const query methods are genuinely const — they
-// never mutate the sample vector. Quantile/CdfAt/CdfPoints on an *unsorted*
-// set sort a local copy (O(n log n) per call); call the explicit Sort()
-// once after ingestion to make subsequent const queries O(1)/O(log n) and
-// safe to issue concurrently from multiple reader threads. (The previous
-// implementation lazily sorted through a const_cast, which was a latent
-// data race once results were read cross-thread.)
+// The const query methods never mutate the sample vector: Quantile/CdfAt/
+// CdfPoints on an *unsorted* set sort a local copy (O(n log n) per call);
+// call the explicit Sort() once after ingestion to make subsequent const
+// queries O(1)/O(log n).
 class SampleSet {
  public:
   void Add(double x);
   void AddTime(TimeUs t) { Add(t.ToMilliseconds()); }
 
   // Appends every sample from `other` (used when merging per-repetition
-  // results produced on worker threads back into a combined set).
+  // results into a combined set).
   void Merge(const SampleSet& other);
 
   // Sorts the samples in place. Idempotent; after this, const queries do
-  // not copy and concurrent const access is race-free.
+  // not copy.
   void Sort();
   bool sorted() const { return sorted_; }
 
@@ -127,25 +122,15 @@ double MedianOf(std::vector<double> values);
 // by the perf-tracking bench harness (event-loop / packet-pool totals).
 // Not for hot paths: lookup is by string. Counters are created on first use
 // and live for the process lifetime.
-//
-// Thread-safety: registry lookups are mutex-guarded and the counter value is
-// a relaxed atomic, so worker threads of the parallel repetition runner can
-// publish totals concurrently. Relaxed ordering is fine — counters carry no
-// synchronization duties; readers (CounterSnapshot) only run at quiescent
-// points (after threads join) or tolerate slightly stale values.
 
 class Counter {
  public:
-  void Increment(int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(int64_t delta = 1) { value_ += delta; }
+  void Set(int64_t value) { value_ = value; }
+  int64_t value() const { return value_; }
 
  private:
-  // Relaxed atomic: counters carry no synchronisation duties; readers
-  // (CounterSnapshot) run at quiescent points or tolerate stale values.
-  std::atomic<int64_t> value_ AF_ATOMIC{0};
+  int64_t value_ = 0;
 };
 
 // Returns the counter registered under `name`, creating it if needed.

@@ -4,7 +4,7 @@
 // property that makes churn auditable: every packet destroyed by a teardown
 // is accounted as `drained`, so the ledger still balances mid-churn. The
 // last section pins run-level determinism: faulted and traced runs repeat
-// byte-for-byte and do not depend on the packet pool.
+// byte-for-byte, and no run depends on the packet pool.
 
 #include "src/fault/fault_injector.h"
 
@@ -496,6 +496,27 @@ TEST(PoolDeterminism, TracedTcpRunExportsIdenticalArtifactsWithPoolOnAndOff) {
   analyze::TimeseriesData ts;
   ASSERT_TRUE(analyze::LoadTimeseriesJsonl(pooled.series, &ts, &error)) << error;
   EXPECT_GT(ts.points, 0);
+}
+
+TEST(PoolDeterminism, UdpRunsIdenticalWithPoolOnAndOff) {
+  // The packet pool is a pure allocation strategy: turning it off must not
+  // perturb a single measurement of an unfaulted run, under FIFO or the
+  // airtime scheduler.
+  ExperimentTiming timing;
+  timing.warmup = 300_ms;
+  timing.measure = 900_ms;
+  for (const QueueScheme scheme : {QueueScheme::kFifo, QueueScheme::kAirtimeFair}) {
+    for (uint64_t seed = 7000; seed < 7003; ++seed) {
+      SCOPED_TRACE(std::string(SchemeName(scheme)) + " seed " + std::to_string(seed));
+      TestbedConfig config;
+      config.seed = seed;
+      config.scheme = scheme;
+      config.packet_pool = true;
+      const StationMeasurements pooled = RunUdpDownload(config, timing);
+      config.packet_pool = false;
+      ExpectMeasurementsIdentical(pooled, RunUdpDownload(config, timing));
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "bench/bench_util.h"
 #include "src/net/udp.h"
 #include "src/scenario/experiments.h"
 #include "src/scenario/testbed.h"
@@ -251,6 +254,26 @@ TEST(Integration, SchemesAreDeterministicPerSeed) {
   const StationMeasurements b = RunUdpDownload(config, timing);
   EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
   EXPECT_EQ(a.airtime_share, b.airtime_share);
+}
+
+// The benches' grid runner: every (scheme, rep) cell runs once, scheme-major,
+// and its result lands at out[scheme][rep].
+TEST(Integration, BenchGridRunsEveryCellInOrder) {
+  std::vector<int> calls;
+  const auto out = RunSchemeRepetitions<int>(3, 4, [&](int scheme, int rep) {
+    calls.push_back(scheme * 100 + rep);
+    return scheme * 100 + rep;
+  });
+  std::vector<int> expected;
+  ASSERT_EQ(out.size(), 3u);
+  for (int s = 0; s < 3; ++s) {
+    ASSERT_EQ(out[static_cast<size_t>(s)].size(), 4u);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(out[static_cast<size_t>(s)][static_cast<size_t>(r)], s * 100 + r);
+      expected.push_back(s * 100 + r);
+    }
+  }
+  EXPECT_EQ(calls, expected);
 }
 
 class SchemeConservationTest : public ::testing::TestWithParam<QueueScheme> {};

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/net/udp.h"
@@ -137,7 +136,7 @@ TEST(TraceBuffer, InternReturnsZeroWhenFullOrNull) {
 }
 
 // ---------------------------------------------------------------------------
-// Macro gates and thread-local installation.
+// Macro gates and buffer installation.
 
 TEST(TraceMacros, AppendThroughMacroWhenBufferInstalled) {
   TraceBuffer buffer;
@@ -381,48 +380,8 @@ TEST(TestbedTrace, InstallsBufferFlightRecorderAndSamplesSeries) {
     const int depth = ts.Series("queue_depth_packets");
     EXPECT_GT(ts.points(jain).size() + ts.points(depth).size(), 0u);
   }
-  // Destruction uninstalled the thread-local buffer.
+  // Destruction uninstalled the buffer.
   EXPECT_EQ(CurrentTraceBuffer(), nullptr);
-}
-
-// Regression test for the cross-thread destruction hazard: a traced
-// Testbed installs its buffer and flight recorder into *thread-local*
-// slots of the constructing thread, so destroying it on another thread
-// would clobber that thread's hooks and leave the installing thread's
-// slot dangling at a freed buffer. The destructor must detect this and
-// fail the AF_CHECK instead of corrupting the slots silently.
-TEST(TestbedTrace, TracedTestbedCrossThreadDestructionChecked) {
-#if !AIRFAIR_TRACE_ENABLED
-  GTEST_SKIP() << "tracing compiled out";
-#endif
-  TestbedConfig config;
-  config.seed = 11;
-  config.scheme = QueueScheme::kAirtimeFair;
-  config.trace = true;
-  auto tb = std::make_unique<Testbed>(config);
-  ASSERT_EQ(CurrentTraceBuffer(), tb->trace_buffer());
-
-  int failures = 0;
-  std::string message;
-  std::thread destroyer([&] {
-    // Thread-local handler on the destroying thread: observe the check
-    // without aborting the test binary.
-    ScopedCheckFailureHandler handler(
-        [&](const char* /*file*/, int /*line*/, const std::string& msg) {
-          ++failures;
-          message = msg;
-        });
-    tb.reset();
-  });
-  destroyer.join();
-  EXPECT_EQ(failures, 1);
-  EXPECT_NE(message.find("different thread"), std::string::npos) << message;
-
-  // The non-fatal handler let the destructor run to completion on the
-  // wrong thread, so this thread's slots still point at the freed buffer
-  // and the stale recorder; clear them so later tests start clean.
-  SetCurrentTraceBuffer(nullptr);
-  SetCheckFlightRecorder(nullptr);
 }
 
 }  // namespace

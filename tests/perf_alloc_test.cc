@@ -202,7 +202,7 @@ TEST(PerfAllocTest, TraceBufferAppendIsAllocationFree) {
 
   const std::int64_t before = AllocationCount();
   for (int i = 0; i < 100000; ++i) {
-    // Through the macro (thread-local load + store) and past several ring
+    // Through the macro (buffer load + store) and past several ring
     // wraps; re-interning an existing literal is a table scan, not a push.
     AF_TRACE_ENQUEUE(TimeUs(i), 1, 0, 1500, i & 63);
     buffer.Append(TimeUs(i), TraceEventType::kTxEnd, 1, -1, 2800, 32, 0, label);

@@ -468,64 +468,6 @@ TEST(LintRule, AuditRegistrationSuppressionIsFileScope) {
 }
 
 // ---------------------------------------------------------------------------
-// guarded-field-discipline
-
-TEST(LintRule, UndisciplinedConcurrencyStateFlagged) {
-  TempRepo repo;
-  repo.WriteFile("src/util/r.h",
-                 WithGuard("src/util/r.h",
-                           "#include <atomic>\n"
-                           "#include <mutex>\n"
-                           "class Registry {\n"
-                           " private:\n"
-                           "  std::mutex mu_;\n"             // Raw mutex: use the wrapper.
-                           "  std::atomic<int> hits_{0};\n"  // Atomic without discipline.
-                           "};\n"));
-  repo.WriteFile("src/util/r.cc",
-                 "#include \"src/util/r.h\"\n"
-                 "static int g_total = 0;\n");  // Mutable static without discipline.
-  const auto findings = For(repo.Run(), "guarded-field-discipline");
-  ASSERT_EQ(findings.size(), 3u);
-  // Sorted by (file, line): the .cc's static first, then the header fields.
-  EXPECT_EQ(findings[0].file, "src/util/r.cc");
-  EXPECT_NE(findings[0].message.find("g_total"), std::string::npos);
-  EXPECT_NE(findings[1].message.find("raw std::mutex"), std::string::npos);
-  EXPECT_NE(findings[1].message.find("mu_"), std::string::npos);
-  EXPECT_NE(findings[2].message.find("std::atomic"), std::string::npos);
-  EXPECT_NE(findings[2].message.find("hits_"), std::string::npos);
-}
-
-TEST(LintRule, DeclaredDisciplineAndExemptionsAreClean) {
-  TempRepo repo;
-  repo.WriteFile(
-      "src/util/r.h",
-      WithGuard("src/util/r.h",
-                "#include <atomic>\n"
-                "#include \"src/util/mutex.h\"\n"
-                "#include \"src/util/thread_annotations.h\"\n"
-                "class Registry {\n"
-                " private:\n"
-                "  Mutex mu_;\n"  // The wrapper is its own capability.
-                "  int table_ AF_GUARDED_BY(mu_);\n"
-                "  std::atomic<int> hits_ AF_ATOMIC{0};\n"
-                "  static constexpr int kMax = 8;\n"  // Const: no discipline needed.
-                "};\n"
-                "inline thread_local int tls_depth = 0;\n"));  // Per-thread ownership.
-  EXPECT_TRUE(For(repo.Run(), "guarded-field-discipline").empty());
-}
-
-TEST(LintRule, GuardedFieldOutsideSrcIsFineAndAllowSuppresses) {
-  TempRepo repo;
-  // tools/ and tests/ are outside the rule's scope.
-  repo.WriteFile("tools/t.cc", "#include <atomic>\nstd::atomic<int> g_count{0};\n");
-  repo.WriteFile("src/util/s.cc",
-                 "#include <atomic>\n"
-                 "// airfair-lint: allow(guarded-field-discipline): fixture\n"
-                 "std::atomic<int> g_count{0};\n");
-  EXPECT_TRUE(For(repo.Run(), "guarded-field-discipline").empty());
-}
-
-// ---------------------------------------------------------------------------
 // use-after-move (flow-sensitive)
 
 TEST(LintRule, UseAfterMoveFlaggedAcrossBranch) {
@@ -669,7 +611,7 @@ TEST(Suppressions, CommaListCoversMultipleRules) {
 
 TEST(Output, AllRulesAreDocumentedAndJsonIsWellFormed) {
   const auto rules = AllRules();
-  EXPECT_EQ(rules.size(), 17u);
+  EXPECT_EQ(rules.size(), 16u);
   for (const RuleInfo& rule : rules) {
     EXPECT_FALSE(rule.id.empty());
     EXPECT_FALSE(rule.summary.empty());

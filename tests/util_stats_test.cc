@@ -5,7 +5,6 @@
 #include <array>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace airfair {
@@ -201,39 +200,6 @@ TEST(Counters, GetReturnsStableReferenceAndSnapshotSorts) {
   EXPECT_EQ(second, 2);
   ResetCounters();
   EXPECT_EQ(GetCounter("zz.second").value(), 0);
-}
-
-// Regression test for the registry refactor (CounterRegistry in
-// src/util/stats.cc, AF_GUARDED_BY-annotated): lookups, increments and
-// snapshots from concurrent threads must neither race nor lose counts.
-// The tsan CI preset runs this test under ThreadSanitizer.
-TEST(Counters, ConcurrentLookupIncrementAndSnapshot) {
-  ResetCounters();
-  constexpr int kThreads = 4;
-  constexpr int kIterations = 2000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t] {
-      const std::string own = "hammer.worker." + std::to_string(t);
-      for (int i = 0; i < kIterations; ++i) {
-        GetCounter(own).Increment();
-        GetCounter("hammer.shared").Increment();
-        if (i % 256 == 0) {
-          // Concurrent snapshots exercise the read path against writers.
-          (void)CounterSnapshot();
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  EXPECT_EQ(GetCounter("hammer.shared").value(), kThreads * kIterations);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(GetCounter("hammer.worker." + std::to_string(t)).value(), kIterations);
-  }
-  ResetCounters();
 }
 
 }  // namespace

@@ -20,9 +20,8 @@
 // so capture-initializer moves stay visible to the enclosing analysis while
 // body statements do not leak into it.
 //
-// Still a lexer, not a compiler, with the same contract as the symbol
-// index (tools/analyze/symbol_index.h): robust for this code base's style, kept honest by structural tests
-// (tests/tools_cfg_test.cc). Known limits, by design: no goto/labels (the
+// Still a lexer, not a compiler: robust for this code base's style, kept
+// honest by structural tests (tests/tools_cfg_test.cc). Known limits, by design: no goto/labels (the
 // tree has none), exceptions are approximated (a catch block is an
 // alternative successor of the statement before its try), preprocessor
 // lines are skipped wholesale, and a lambda assigned at namespace scope is

@@ -16,7 +16,6 @@
 
 #include "tools/analyze/cfg.h"
 #include "tools/analyze/dataflow.h"
-#include "tools/analyze/symbol_index.h"
 
 namespace airfair {
 namespace analyze {
@@ -160,7 +159,6 @@ std::string ParseInclude(const std::string& code) {
 struct FileData {
   std::string path;  // Repo-relative, forward slashes.
   bool is_header = false;
-  std::vector<std::string> raw;
   std::vector<std::string> code;
   std::vector<std::string> comment;
   std::vector<std::string> includes;           // In order of appearance.
@@ -219,7 +217,6 @@ FileData LoadFile(const fs::path& abs, std::string rel) {
       file.include_set.insert(inc);
     }
     ParseAllows(stripped.comment, line_no, &file);
-    file.raw.push_back(line);
     file.code.push_back(std::move(stripped.code));
     file.comment.push_back(std::move(stripped.comment));
   }
@@ -301,7 +298,6 @@ class Linter {
       LintIwyu(file);
       LintHeaderGuard(file);
       LintUsingNamespace(file);
-      LintGuardedFieldDiscipline(file);
       LintFlowRules(file);
     }
     LintCoreNeedsTest();
@@ -380,57 +376,6 @@ class Linter {
       if (f.path == path) return &f;
     }
     return nullptr;
-  }
-
-  // --- guarded-field-discipline ---
-  // Every concurrency-relevant declaration in src/ must say what protects
-  // it: raw std::mutex members become the annotated Mutex wrapper (a plain
-  // std::mutex is invisible to clang -Wthread-safety), atomics and mutable
-  // statics carry AF_GUARDED_BY / AF_ATOMIC or an allow with a reason.
-  // thread_local (per-thread ownership), const/constexpr and the Mutex
-  // wrapper itself (a capability, not guarded state) are exempt.
-  void LintGuardedFieldDiscipline(const FileData& file) {
-    if (!InSrc(file.path)) return;
-    // `sym` is a FieldSymbol or a StaticSymbol; both carry the same flags.
-    const auto check = [&](const auto& sym, const std::string& what, bool is_mutable_static) {
-      if (sym.is_thread_local || sym.is_const) return;
-      if (sym.is_raw_mutex) {
-        Report(file, "guarded-field-discipline", sym.line,
-               "raw std::mutex " + what +
-                   "; declare airfair::Mutex (src/util/mutex.h) so clang -Wthread-safety "
-                   "can track what it guards");
-        return;
-      }
-      if (sym.is_wrapped_mutex) return;
-      if (sym.is_atomic) {
-        if (!sym.has_annotation) {
-          Report(file, "guarded-field-discipline", sym.line,
-                 "std::atomic " + what +
-                     " without a declared discipline; add AF_GUARDED_BY(lock) or mark it "
-                     "intentionally lock-free with AF_ATOMIC "
-                     "(src/util/thread_annotations.h)");
-        }
-        return;
-      }
-      if (is_mutable_static && !sym.has_annotation) {
-        Report(file, "guarded-field-discipline", sym.line,
-               "mutable static " + what +
-                   " without a declared discipline; guard it (AF_GUARDED_BY), make it "
-                   "atomic (AF_ATOMIC), use thread_local, or suppress with a reason");
-      }
-    };
-    const SymbolIndex index = BuildSymbolIndex(file.code, file.raw);
-    for (const ClassSymbol& cls : index.classes) {
-      for (const FieldSymbol& f : cls.fields) {
-        check(f, "member `" + f.name + "` of " + cls.name, f.is_static);
-      }
-    }
-    for (const StaticSymbol& s : index.statics) {
-      check(s,
-            std::string(s.is_function_local ? "function-local static `" : "global `") + s.name +
-                "`",
-            /*is_mutable_static=*/true);
-    }
   }
 
   // --- hot-std-function / hot-naked-new / hot-shared-ptr / no-const-cast /
@@ -514,8 +459,8 @@ class Linter {
     const size_t paren = rest.find('(');
     if (paren != std::string::npos && paren < terminator) return;
     Report(file, "mutable-static", line,
-           "mutable static state in a hot-path directory (hidden cross-run state; "
-           "races under AIRFAIR_THREADS)");
+           "mutable static state in a hot-path directory (state carried from one "
+           "repetition to the next in the same process breaks per-seed output)");
   }
 
   // --- use-af-check ---
@@ -1033,9 +978,6 @@ std::vector<RuleInfo> AllRules() {
       {"core-needs-test", "src/core and src/aqm .cc files need a test including them"},
       {"audit-registration", "CheckInvariants components must be registered with the auditor"},
       {"no-using-namespace", "no using namespace in headers"},
-      {"guarded-field-discipline",
-       "mutexes, atomics and mutable statics in src/ declare their discipline "
-       "(Mutex wrapper, AF_GUARDED_BY, AF_ATOMIC)"},
       {"use-after-move",
        "moved-from PacketPtr/EventFn/InlineFunction/unique_ptr locals may not be used "
        "on any path before reassignment (flow-sensitive, src/)"},

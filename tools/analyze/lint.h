@@ -9,8 +9,7 @@
 // text and include list in one serial pass, then runs the two cross-file
 // rules (core-needs-test, audit-registration). Hazards the compiler already
 // reports are left to it: discarded AF_NODISCARD results fail the build
-// (-Werror=unused-result) and unguarded AF_GUARDED_BY accesses fail CI's
-// clang -Wthread-safety job.
+// (-Werror=unused-result).
 //
 // Rules (ids are stable; they feed suppressions and CI output):
 //   hot-std-function    std::function in src/{sim,mac,core,aqm,net} — use
@@ -22,7 +21,8 @@
 //                       unique ownership instead of refcounting)
 //   no-const-cast       const_cast in hot dirs
 //   mutable-static      function-local / namespace-scope mutable static in
-//                       hot dirs (hidden cross-run state, data races)
+//                       hot dirs (state carried from one repetition to the
+//                       next in the same process breaks per-seed output)
 //   trace-macro-discipline
 //                       direct TraceBuffer / CurrentTraceBuffer use in hot
 //                       dirs — trace through the AF_TRACE_* macros, which
@@ -41,16 +41,6 @@
 //                       registered with the auditor somewhere (AddCheck /
 //                       RegisterAudits), directly or by delegation
 //   no-using-namespace  using namespace in headers
-//   guarded-field-discipline
-//                       mutex/atomic/mutable-static members and statics in
-//                       src/ must declare their concurrency discipline:
-//                       raw std::mutex -> the annotated Mutex wrapper
-//                       (src/util/mutex.h); atomics and mutable statics ->
-//                       AF_GUARDED_BY / AF_ATOMIC
-//                       (src/util/thread_annotations.h). thread_local and
-//                       const are exempt; a Mutex is its own capability.
-//                       Reads a per-file symbol index
-//                       (tools/analyze/symbol_index.h)
 //
 // Flow-sensitive rules (per-function CFGs — tools/analyze/cfg.h — with
 // forward may-dataflow — tools/analyze/dataflow.h):
