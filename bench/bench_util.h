@@ -21,10 +21,7 @@
 #ifndef AIRFAIR_BENCH_BENCH_UTIL_H_
 #define AIRFAIR_BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
 #include <chrono>
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -34,45 +31,15 @@
 
 #include "src/scenario/experiments.h"
 #include "src/scenario/testbed.h"
+#include "src/util/env.h"
 #include "src/util/stats.h"
 
 namespace airfair {
 
-// Numeric environment knobs are parsed strictly: a malformed value, or one
-// below `min`, exits 2 with a message naming the variable before any
-// simulation runs, instead of quietly running a different experiment. An
-// unset variable yields `fallback`.
-inline int EnvWholeNumber(const char* name, int fallback, int min) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) {
-    return fallback;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || errno != 0 || value < min || value > INT_MAX) {
-    std::fprintf(stderr, "%s=\"%s\": expected a whole number >= %d\n", name, env, min);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
-}
-
-inline double EnvNumber(const char* name, double fallback, double min) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !std::isfinite(value) || value < min) {
-    std::fprintf(stderr, "%s=\"%s\": expected a number >= %g\n", name, env, min);
-    std::exit(2);
-  }
-  return value;
-}
-
+// The environment knobs are parsed strictly (src/util/env.h): a malformed
+// value exits 2 naming the variable before any simulation runs.
 inline int BenchRepetitions(int fallback = 5) {
-  return EnvWholeNumber("AIRFAIR_REPS", fallback, /*min=*/1);
+  return static_cast<int>(EnvWholeNumber("AIRFAIR_REPS", fallback, /*min=*/1));
 }
 
 inline ExperimentTiming BenchTiming(double default_measure_seconds = 20.0) {
@@ -130,8 +97,7 @@ inline void PrintHeaderRule() {
 // invariant auditor (as if AIRFAIR_AUDIT=1) at a sparse spot-check cadence.
 // Called from BenchReporter's constructor, i.e. before any Testbed exists.
 inline void ApplyBenchAuditEnv() {
-  const char* bench_audit = std::getenv("AIRFAIR_BENCH_AUDIT");
-  if (bench_audit == nullptr || std::string(bench_audit) == "0") {
+  if (!EnvFlag("AIRFAIR_BENCH_AUDIT", /*fallback=*/false)) {
     return;
   }
   ::setenv("AIRFAIR_AUDIT", "1", /*overwrite=*/0);

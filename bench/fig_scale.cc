@@ -30,7 +30,8 @@ namespace {
 // Default sweep; AIRFAIR_SCALE_STATIONS=<N>, a whole number >= 2, pins it
 // to a single point (CI uses 128 for a stable perf record).
 std::vector<int> SweepStations() {
-  const int pinned = EnvWholeNumber("AIRFAIR_SCALE_STATIONS", /*fallback=*/0, /*min=*/2);
+  const int pinned =
+      static_cast<int>(EnvWholeNumber("AIRFAIR_SCALE_STATIONS", /*fallback=*/0, /*min=*/2));
   if (pinned > 0) {
     return {pinned};
   }

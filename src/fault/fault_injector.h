@@ -3,8 +3,8 @@
 // The injector is the one component allowed to mutate station lifecycle
 // state mid-run. It schedules every perturbation as a plain event on the
 // simulation's loop (Simulation::loop()), so a faulted run is a pure
-// function of (config, plan, seed): it repeats byte-for-byte and is
-// identical with the packet pool on or off (tests/fault_injection_test.cc).
+// function of (config, plan, seed): it repeats byte-for-byte
+// (tests/fault_injection_test.cc).
 //
 // What each perturbation does:
 //  * leave  — StationTable::SetActive(false), WifiStation::Detach (uplink

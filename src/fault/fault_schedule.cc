@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/env.h"
 
 namespace airfair {
 
@@ -185,8 +186,10 @@ FaultPlan FaultPlanFromEnv() {
 }
 
 uint64_t ChurnSeedFromEnv(uint64_t testbed_seed) {
-  if (const char* env = std::getenv("AIRFAIR_CHURN_SEED"); env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
+  const int64_t pinned = EnvWholeNumber("AIRFAIR_CHURN_SEED", /*fallback=*/-1, /*min=*/0,
+                                        /*max=*/INT64_MAX);
+  if (pinned >= 0) {
+    return static_cast<uint64_t>(pinned);
   }
   // Decorrelate from the traffic seed without an extra knob: the golden
   // ratio step is splitmix64's increment, so nearby testbed seeds still get

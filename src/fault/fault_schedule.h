@@ -80,8 +80,9 @@ bool ParseFaultSchedule(const std::string& text, FaultPlan* plan, std::string* e
 // schedule would invalidate whatever experiment asked for it.
 FaultPlan FaultPlanFromEnv();
 
-// Seed for the fault subsystem's dedicated RNG: AIRFAIR_CHURN_SEED if set,
-// otherwise derived from the testbed seed. Kept apart from Simulation::rng()
+// Seed for the fault subsystem's dedicated RNG: AIRFAIR_CHURN_SEED (a whole
+// number >= 0; anything else exits 2) if set, otherwise derived from the
+// testbed seed. Kept apart from Simulation::rng()
 // so enabling faults never perturbs the traffic randomness (the same
 // scenario with and without a schedule stays comparable), and an A/B run
 // can vary the fault randomness without touching the traffic stream.

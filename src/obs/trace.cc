@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/util/env.h"
+
 namespace airfair {
 namespace {
 
@@ -155,31 +157,17 @@ TraceBuffer* SetCurrentTraceBuffer(TraceBuffer* buffer) {
 }
 
 bool TraceEnabledByDefault() {
-#if !AIRFAIR_TRACE_ENABLED
-  return false;  // Compiled out: macros are no-ops, a buffer would be inert.
-#else
-  // Explicit AIRFAIR_TRACE wins in both directions.
-  if (const char* env = std::getenv("AIRFAIR_TRACE"); env != nullptr && env[0] != '\0') {
-    return !(env[0] == '0' && env[1] == '\0');
-  }
-  // Asking for an export implies tracing.
+  // An explicit AIRFAIR_TRACE wins in both directions; else asking for an
+  // export implies tracing. The flag is parsed even when tracing is
+  // compiled out, so a malformed value fails the same way in every build.
   const auto set = [](const char* name) {
     const char* v = std::getenv(name);
     return v != nullptr && v[0] != '\0';
   };
-  return set("AIRFAIR_TRACE_JSON") || set("AIRFAIR_TIMESERIES_JSON");
-#endif
-}
-
-size_t TraceRingCapacityFromEnv(size_t fallback) {
-  if (const char* env = std::getenv("AIRFAIR_TRACE_RING");
-      env != nullptr && env[0] != '\0') {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) {
-      return static_cast<size_t>(parsed);
-    }
-  }
-  return fallback;
+  const bool on =
+      EnvFlag("AIRFAIR_TRACE", set("AIRFAIR_TRACE_JSON") || set("AIRFAIR_TIMESERIES_JSON"));
+  // Compiled out: macros are no-ops, a buffer would be inert.
+  return AIRFAIR_TRACE_ENABLED && on;
 }
 
 }  // namespace airfair

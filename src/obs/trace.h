@@ -223,13 +223,10 @@ class ScopedTraceBuffer {
 
 // Whether new Testbeds should build + install a trace buffer. False when
 // tracing is compiled out. Otherwise the environment decides:
-// AIRFAIR_TRACE=1/0 wins; else setting either export path
-// (AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON) implies tracing; else off.
+// AIRFAIR_TRACE=1/0 wins (any other value exits 2, src/util/env.h); else
+// setting either export path (AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON)
+// implies tracing; else off.
 bool TraceEnabledByDefault();
-
-// Ring capacity override from AIRFAIR_TRACE_RING (records), else
-// `fallback`. Used by the Testbed when building its buffer.
-size_t TraceRingCapacityFromEnv(size_t fallback);
 
 }  // namespace airfair
 

@@ -15,7 +15,7 @@ std::string LedgerTallies::ToString() const {
       << " link=" << link_drops << " host=" << host_undeliverable
       << " reorder_dup=" << reorder_duplicates << "]"
       << " [drains: ap=" << ap_churn_drained << " station=" << station_churn_drained
-      << " reorder=" << reorder_churn_drained << " extra=" << extra_drained << "]";
+      << " reorder=" << reorder_churn_drained << "]";
   return out.str();
 }
 
@@ -46,13 +46,9 @@ LedgerTallies PacketLedger::Tally() const {
   if (link_ != nullptr) {
     t.link_drops = link_->forward().drops() + link_->reverse().drops();
   }
-  for (const int64_t* counter : drain_counters_) {
-    t.extra_drained += *counter;
-  }
   t.dropped = t.backend_drops + t.ap_retry_drops + t.ap_unroutable + t.station_drops +
               t.link_drops + t.host_undeliverable + t.reorder_duplicates;
-  t.drained = t.ap_churn_drained + t.station_churn_drained + t.reorder_churn_drained +
-              t.extra_drained;
+  t.drained = t.ap_churn_drained + t.station_churn_drained + t.reorder_churn_drained;
   if (pool_ != nullptr) {
     t.in_flight = pool_->outstanding();
   }

@@ -29,8 +29,7 @@
 // holds at every audit sweep, not just at quiescence: a delivered or
 // dropped packet is destroyed (returned to the pool) within the call that
 // accounts for it, and everything still alive is in_flight by definition.
-// The ledger therefore requires pooled packets (TestbedConfig::packet_pool);
-// the testbed skips registration when the pool is disabled.
+// Every Testbed pools its packets, so every Testbed builds the ledger.
 //
 // The per-layer tallies are kept in the snapshot so a violation message
 // pinpoints which layer's books are off, which is what makes the audit
@@ -79,7 +78,6 @@ struct LedgerTallies {
                                       // submissions/retries.
   int64_t reorder_churn_drained = 0;  // Session-close flushes + deliveries
                                       // routed to a detached receiver.
-  int64_t extra_drained = 0;          // Registered external drain counters.
 
   // injected - delivered - dropped - drained - in_flight; zero when
   // conserved.
@@ -102,11 +100,6 @@ class PacketLedger {
   void set_link(const WiredLink* link) { link_ = link; }
   void set_pool(const PacketPool* pool) { pool_ = pool; }
 
-  // Registers an external drain counter (e.g. a fault injector that destroys
-  // packets outside the MAC components). The pointee must outlive the
-  // ledger; its value is added to the `drained` term at every tally.
-  void AddDrainCounter(const int64_t* counter) { drain_counters_.push_back(counter); }
-
   // Test hook: extra packets to treat as injected (simulates a traffic
   // source that creates packets behind the ledger's back — i.e. a leak).
   void InjectImbalanceForTesting(int64_t packets) { injected_bias_ += packets; }
@@ -124,7 +117,6 @@ class PacketLedger {
   const AccessPoint* ap_ = nullptr;
   const WiredLink* link_ = nullptr;
   const PacketPool* pool_ = nullptr;
-  std::vector<const int64_t*> drain_counters_;
   int64_t injected_bias_ = 0;
 };
 

@@ -10,6 +10,7 @@
 #include "src/aqm/fq_codel.h"
 #include "src/obs/export.h"
 #include "src/util/check.h"
+#include "src/util/env.h"
 #include "src/util/stats.h"
 
 namespace airfair {
@@ -54,11 +55,6 @@ std::vector<StationSpec> ThreeStationSetup() {
   return {FastStation("fast-1"), FastStation("fast-2"), SlowStation("slow")};
 }
 
-bool PacketPoolEnabledByDefault() {
-  const char* env = std::getenv("AIRFAIR_PACKET_POOL");
-  return env == nullptr || std::string(env) != "0";
-}
-
 namespace {
 
 // Packet-pool chunk size scaled with the topology: the default 256-packet
@@ -75,14 +71,13 @@ int DerivedChunkPackets(const TestbedConfig& config) {
 
 Testbed::Testbed(const TestbedConfig& config)
     : packet_pool_(DerivedChunkPackets(config)), sim_(config.seed), medium_(&sim_) {
+  AF_CHECK(config.packet_pool) << " every testbed pools its packets";
   AF_CHECK_EQ(config.shards, 1) << " a run is one event loop";
   AF_CHECK_EQ(config.host_bus_delay.us(), 0) << " station hosts have no bus delay";
 
-  PacketPool* pool = config.packet_pool ? &packet_pool_ : nullptr;
-
   // Server.
   server_host_ = std::make_unique<Host>(&sim_, server_node());
-  server_host_->set_packet_pool(pool);
+  server_host_->set_packet_pool(&packet_pool_);
 
   // Stations: table entries, per-station hosts and MACs.
   for (size_t i = 0; i < config.stations.size(); ++i) {
@@ -107,7 +102,7 @@ Testbed::Testbed(const TestbedConfig& config)
       rate_controls_.push_back(nullptr);
     }
     station_hosts_.push_back(std::make_unique<Host>(&sim_, node));
-    station_hosts_.back()->set_packet_pool(pool);
+    station_hosts_.back()->set_packet_pool(&packet_pool_);
   }
 
   ap_ = std::make_unique<AccessPoint>(&sim_, &medium_, &station_table_, ap_node());
@@ -175,7 +170,7 @@ Testbed::Testbed(const TestbedConfig& config)
     station_table_.GetMutable(tx.station).rate = control->PickRate();
   });
 
-  BuildLedger(config);
+  BuildLedger();
   BuildAuditor(config);
   BuildTrace(config);
   BuildFault(config);
@@ -218,10 +213,7 @@ void Testbed::BuildFault(const TestbedConfig& config) {
   fault_->Arm();
 }
 
-void Testbed::BuildLedger(const TestbedConfig& config) {
-  if (!config.packet_pool) {
-    return;  // No pool: no ground-truth in-flight count to balance against.
-  }
+void Testbed::BuildLedger() {
   ledger_ = std::make_unique<PacketLedger>();
   ledger_->set_pool(&packet_pool_);
   ledger_->set_access_point(ap_.get());
@@ -261,6 +253,16 @@ namespace {
 // Trace events dumped to stderr by the crash flight recorder.
 constexpr size_t kFlightRecorderTail = 64;
 
+// Timeseries sampling cadence (airtime shares, Jain index, queue depth,
+// per-station latency quantiles); the auditor's default sweep interval.
+constexpr TimeUs kSampleInterval = TimeUs::FromMilliseconds(10);
+
+// Airtime shares and Jain are computed over a sliding window of this many
+// sample ticks (20 x 10 ms = 200 ms). One tick is too coarse: a single 3 ms
+// A-MPDU dominates a 10 ms window and the Jain index whipsaws; 200 ms
+// matches the averaging the paper's airtime figures use.
+constexpr size_t kAirtimeWindowSamples = 20;
+
 // Quantile over a sorted scratch vector (linear interpolation, matching
 // util/stats semantics without materialising a SampleSet per sample tick).
 double QuantileSorted(const std::vector<double>& sorted, double q) {
@@ -294,7 +296,6 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
     return;
   }
   TraceBuffer::Config trace_config = config.trace_config;
-  trace_config.capacity = TraceRingCapacityFromEnv(trace_config.capacity);
   // Intern slots scale with the topology instead of a hard 256: every
   // per-station instrumentation site that labels records gets a slot with
   // headroom, so a 256-station run cannot silently exhaust the table
@@ -314,7 +315,7 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   flight_recorder_installed_ = true;
 
   // Metrics timelines, sampled on a fixed cadence below.
-  timeseries_ = std::make_unique<Timeseries>(config.timeseries_config);
+  timeseries_ = std::make_unique<Timeseries>();
   run_label_ = std::string(SchemeName(config.scheme)) + " n=" +
                std::to_string(config.stations.size()) + " seed=" +
                std::to_string(config.seed);
@@ -322,7 +323,6 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   latency_accum_.resize(n);
   share_scratch_.assign(n, 0.0);
   jain_scratch_.reserve(n);
-  jain_active_only_ = config.jain_active_only;
   for (size_t i = 0; i < n; ++i) {
     latency_accum_[i].reserve(4096);
     const std::string& name = config.stations[i].name;
@@ -333,17 +333,10 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   }
   jain_series_ = timeseries_->Series("airtime_jain");
   depth_series_ = timeseries_->Series("queue_depth_packets");
-  const size_t window = static_cast<size_t>(std::max(1, config.airtime_window_samples));
   airtime_history_.assign(
-      window, std::vector<TimeUs>(static_cast<size_t>(station_table_.size()), TimeUs::Zero()));
+      kAirtimeWindowSamples,
+      std::vector<TimeUs>(static_cast<size_t>(station_table_.size()), TimeUs::Zero()));
 
-  sample_interval_ = config.sample_interval;
-  if (const char* env = std::getenv("AIRFAIR_SAMPLE_INTERVAL_MS"); env != nullptr) {
-    const int ms = std::atoi(env);
-    if (ms > 0) {
-      sample_interval_ = TimeUs::FromMilliseconds(ms);
-    }
-  }
   // Incremental latency accumulation: every kDeliver append lands in the
   // station's accumulator as it happens, so the sample tick below only
   // sorts and drains — the former per-tick ForEachSince ring scan was
@@ -363,7 +356,7 @@ void Testbed::ScheduleSample() {
   // steady-state allocation (tests/perf_alloc_test.cc holds the traced
   // testbed window to exactly the untraced window's count). The event dies
   // with the loop, so no cancellation is needed at destruction.
-  sim_.PostAfter(sample_interval_, [this] {
+  sim_.PostAfter(kSampleInterval, [this] {
     SampleTimeseries();
     ScheduleSample();
   });
@@ -373,7 +366,7 @@ void Testbed::SampleTimeseries() {
   const TimeUs now = sim_.now();
 
   // Sliding-window airtime shares: the share of airtime each station used
-  // over the last `airtime_window_samples` ticks. This is the convergence
+  // over the last kAirtimeWindowSamples ticks. This is the convergence
   // signal of Figs. 5/9 — end-of-run aggregates hide how quickly the
   // scheduler reaches fairness.
   const std::vector<TimeUs>& airtime = medium_.airtime_by_station();
@@ -396,21 +389,17 @@ void Testbed::SampleTimeseries() {
       share_scratch_[i] /= total;
       timeseries_->Record(airtime_series_[i], now, share_scratch_[i]);
     }
-    if (jain_active_only_) {
-      // Jain over stations present in the window: a churned-out station is
-      // absent, not unfairly starved, so it must not count as a zero share
-      // (7 fair stations of 7 score 1.0, not 7/8 = 0.875). Jain is
-      // scale-invariant, so the subset needs no renormalisation.
-      jain_scratch_.clear();
-      for (size_t i = 0; i < n; ++i) {
-        if (station_table_.IsActive(static_cast<StationId>(i))) {
-          jain_scratch_.push_back(share_scratch_[i]);
-        }
+    // Jain over stations present at the sample instant: a churned-out
+    // station is absent, not unfairly starved, so it must not count as a
+    // zero share (7 fair stations of 7 score 1.0, not 7/8 = 0.875). Jain is
+    // scale-invariant, so the subset needs no renormalisation.
+    jain_scratch_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (station_table_.IsActive(static_cast<StationId>(i))) {
+        jain_scratch_.push_back(share_scratch_[i]);
       }
-      timeseries_->Record(jain_series_, now, JainFairnessIndex(jain_scratch_));
-    } else {
-      timeseries_->Record(jain_series_, now, JainFairnessIndex(share_scratch_));
     }
+    timeseries_->Record(jain_series_, now, JainFairnessIndex(jain_scratch_));
   }
 
   // Backend standing queue (whichever backend this scheme uses).
@@ -485,17 +474,9 @@ void Testbed::BuildAuditor(const TestbedConfig& config) {
   Auditor::Config audit_config = config.audit_config;
   // Runtime cadence override for spot-auditing long bench runs without a
   // Debug/audit build (the benches map AIRFAIR_BENCH_AUDIT onto this).
-  if (const char* env = std::getenv("AIRFAIR_AUDIT_INTERVAL_MS"); env != nullptr) {
-    const int ms = std::atoi(env);
-    if (ms > 0) {
-      audit_config.interval = TimeUs::FromMilliseconds(ms);
-    }
-  }
-  // Wall-clock batching for sparse workloads (see Auditor::Config): sweeps
-  // that fire within this many wall milliseconds of the previous executed
-  // batch are skipped. AIRFAIR_AUDIT_WALL_MS=0 disables batching.
-  if (const char* env = std::getenv("AIRFAIR_AUDIT_WALL_MS"); env != nullptr) {
-    audit_config.min_wall_interval_ms = std::atof(env);
+  if (const int64_t ms = EnvWholeNumber("AIRFAIR_AUDIT_INTERVAL_MS", /*fallback=*/0, /*min=*/1);
+      ms > 0) {
+    audit_config.interval = TimeUs::FromMilliseconds(static_cast<double>(ms));
   }
   auditor_ = std::make_unique<Auditor>(&sim_.loop(), audit_config);
   // Failure messages gain simulated-timestamp context while this testbed is
@@ -504,12 +485,10 @@ void Testbed::BuildAuditor(const TestbedConfig& config) {
   SetCheckTimeProvider([sim] { return sim->now(); });
 
   auditor_->WatchEventLoop();
-  if (ledger_ != nullptr) {
-    PacketLedger* ledger = ledger_.get();
-    auditor_->AddCheck("conservation", [ledger](const Auditor::FailFn& fail) {
-      ledger->CheckInvariants(fail);
-    });
-  }
+  PacketLedger* ledger = ledger_.get();
+  auditor_->AddCheck("conservation", [ledger](const Auditor::FailFn& fail) {
+    ledger->CheckInvariants(fail);
+  });
   if (mac_backend_ != nullptr) {
     mac_backend_->RegisterAudits(auditor_.get());
   }

@@ -71,9 +71,6 @@ StationSpec LegacyStation(const std::string& name); // 1 Mbit/s, no HT.
 // The paper's standard 3-station setup (two fast, one slow).
 std::vector<StationSpec> ThreeStationSetup();
 
-// True unless the AIRFAIR_PACKET_POOL environment variable is set to "0".
-bool PacketPoolEnabledByDefault();
-
 struct TestbedConfig {
   uint64_t seed = 1;
   QueueScheme scheme = QueueScheme::kFifo;
@@ -87,37 +84,30 @@ struct TestbedConfig {
 
   // Runtime invariant auditing (src/sim/audit.h). Defaults to on for
   // AIRFAIR_AUDIT builds or AIRFAIR_AUDIT=1 environments; the auditor then
-  // sweeps every component's invariants on audit.interval cadence and, with
-  // audit.fatal (the default), fails hard on the first violation. The
-  // auditor's interval can be overridden at runtime with
-  // AIRFAIR_AUDIT_INTERVAL_MS (used by the benches' spot-audit mode).
+  // sweeps every component's invariants, the packet-conservation ledger
+  // included, on audit.interval cadence and, with audit.fatal (the default),
+  // fails hard on the first violation. The auditor's interval can be
+  // overridden at runtime with AIRFAIR_AUDIT_INTERVAL_MS (used by the
+  // benches' spot-audit mode).
   bool audit = AuditEnabledByDefault();
   Auditor::Config audit_config;
-
-  // Per-testbed packet pooling (net/packet_pool.h): allocation-free packets
-  // in steady state. Disabled by AIRFAIR_PACKET_POOL=0 (A/B comparisons and
-  // the determinism tests) — results are identical either way.
-  bool packet_pool = PacketPoolEnabledByDefault();
 
   // Packet-lifecycle tracing + metrics timelines (src/obs). Off unless a
   // run opts in: AIRFAIR_TRACE=1, or one of the export paths
   // (AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON) is set, or a test flips
-  // this flag. When on, the Testbed owns a TraceBuffer (ring capacity
-  // overridable with AIRFAIR_TRACE_RING), installs it as the process's
-  // current buffer, arms the crash flight recorder, and samples the
-  // timeseries below on `sample_interval` cadence. Tracing never changes
+  // this flag. When on, the Testbed owns a TraceBuffer, installs it as the
+  // process's current buffer, arms the crash flight recorder, and samples
+  // the timeseries every 10 ms of simulated time. Tracing never changes
   // simulation results (tests/obs_trace_test.cc holds this bit-identical).
   bool trace = TraceEnabledByDefault();
   TraceBuffer::Config trace_config;
-  Timeseries::Config timeseries_config;
-  // Timeseries sampling cadence (airtime shares, Jain index, queue depth,
-  // per-station latency quantiles). Mirrors the auditor's default sweep
-  // interval; override at runtime with AIRFAIR_SAMPLE_INTERVAL_MS.
-  TimeUs sample_interval = TimeUs::FromMilliseconds(10);
 
-  // Must stay 1 and zero: a run is one event loop, and station hosts hand
-  // packets straight to their MACs. The fields remain only because
-  // perfbench/src/workloads.cc assigns them; the Testbed checks both.
+  // Must stay true, 1 and zero: every Testbed pools its packets (the
+  // conservation ledger counts in-flight packets through the pool), a run
+  // is one event loop, and station hosts hand packets straight to their
+  // MACs. The fields remain only because perfbench/src/workloads.cc assigns
+  // them; the Testbed checks all three.
+  bool packet_pool = true;
   int shards = 1;
   TimeUs host_bus_delay = TimeUs::Zero();
   // Fault-injection perturbation schedule (src/fault): station churn,
@@ -128,19 +118,6 @@ struct TestbedConfig {
   // Seed for the burst-loss chains. 0 = AIRFAIR_CHURN_SEED, falling back to
   // a derivation from `seed` (see ChurnSeedFromEnv).
   uint64_t churn_seed = 0;
-
-  // Airtime shares / Jain are computed over a sliding window of this many
-  // sample ticks (default 20 x 10 ms = 200 ms). One tick is too coarse: a
-  // single 3 ms A-MPDU dominates a 10 ms window and the Jain index
-  // whipsaws; 200 ms matches the averaging the paper's airtime figures use.
-  int airtime_window_samples = 20;
-
-  // Windowed Jain is computed over stations *active* in the window: a
-  // station churned out by fault injection stops counting toward the index
-  // instead of dragging it down as a permanent zero share (7 fair stations
-  // out of 7 present score 1.0, not 7/8). Pin to false to get the old
-  // every-station semantics (the churn regression test pins both).
-  bool jain_active_only = true;
 };
 
 class Testbed {
@@ -183,8 +160,8 @@ class Testbed {
   // The invariant auditor, or nullptr when auditing is disabled.
   Auditor* auditor() { return auditor_.get(); }
 
-  // The packet-conservation ledger, or nullptr when the packet pool is
-  // disabled (without pool bookkeeping there is no in-flight ground truth).
+  // The packet-conservation ledger; never null. The auditor sweeps it when
+  // auditing is on; tests and perfbench tally it directly.
   PacketLedger* ledger() { return ledger_.get(); }
 
   // The lifecycle trace ring and metrics timelines, or nullptr when tracing
@@ -197,7 +174,7 @@ class Testbed {
 
  private:
   void BuildBackend(const TestbedConfig& config);
-  void BuildLedger(const TestbedConfig& config);
+  void BuildLedger();
   void BuildAuditor(const TestbedConfig& config);
   void BuildTrace(const TestbedConfig& config);
   void BuildFault(const TestbedConfig& config);
@@ -254,7 +231,6 @@ class Testbed {
   TraceBuffer* prev_trace_ = nullptr;          // Restored on destruction.
   CheckFlightRecorder prev_flight_recorder_;   // Likewise.
   bool flight_recorder_installed_ = false;
-  TimeUs sample_interval_;
   std::string run_label_;  // "<scheme> n=<stations> seed=<seed>" for exports.
   // Sampler state: a ring of airtime-ledger snapshots implementing the
   // sliding share window, per-station latency accumulators fed at trace
@@ -266,7 +242,6 @@ class Testbed {
   std::vector<std::vector<double>> latency_accum_;
   std::vector<double> share_scratch_;
   std::vector<double> jain_scratch_;
-  bool jain_active_only_ = true;
   // Registered series ids (setup-path; index = station).
   std::vector<int> airtime_series_;
   std::vector<int> latency_p50_series_;

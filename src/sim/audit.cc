@@ -1,10 +1,9 @@
 #include "src/sim/audit.h"
 
-#include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "src/util/check.h"
+#include "src/util/env.h"
 #include "src/util/logging.h"
 #include "src/util/stats.h"
 
@@ -38,34 +37,13 @@ void Auditor::Start() {
 void Auditor::Stop() { timer_.Cancel(); }
 
 void Auditor::Sweep() {
-  // Wall-clock batching (sparse-workload cadence fix): when simulated time
-  // races ahead of wall time — long idle gaps between events — running the
-  // full check battery every simulated interval would dominate the run. A
-  // sweep that fires within min_wall_interval_ms of the previous executed
-  // batch is skipped; the dense-run cadence is unchanged because dense
-  // intervals always cost more wall time than the batching window.
-  bool run = true;
-  if (config_.min_wall_interval_ms > 0 && has_checked_) {
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  last_checked_wall_)
-            .count();
-    run = elapsed_ms >= config_.min_wall_interval_ms;
-  }
-  if (run) {
-    RunChecksNow();
-  } else {
-    ++batched_sweeps_;
-    GetCounter("audit.sweeps.batched").Increment();
-  }
+  RunChecksNow();
   timer_ = loop_->ScheduleAfter(config_.interval, [this] { Sweep(); });
 }
 
 int Auditor::RunChecksNow() {
   int found = 0;
   const TimeUs now = loop_->now();
-  last_checked_wall_ = std::chrono::steady_clock::now();
-  has_checked_ = true;
   for (const auto& [name, check] : checks_) {
     ++checks_run_;
     GetCounter("audit.checks").Increment();
@@ -93,15 +71,13 @@ int Auditor::RunChecksNow() {
 }
 
 bool AuditEnabledByDefault() {
-  // The environment overrides the compile-time default in both directions.
-  if (const char* env = std::getenv("AIRFAIR_AUDIT"); env != nullptr && env[0] != '\0') {
-    return !(env[0] == '0' && env[1] == '\0');
-  }
 #ifdef AIRFAIR_AUDIT
-  return true;
+  constexpr bool kCompiledIn = true;
 #else
-  return false;
+  constexpr bool kCompiledIn = false;
 #endif
+  // The environment overrides the compile-time default in both directions.
+  return EnvFlag("AIRFAIR_AUDIT", kCompiledIn);
 }
 
 }  // namespace airfair

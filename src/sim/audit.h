@@ -30,6 +30,9 @@
 // environment; AIRFAIR_AUDIT=0 in the environment force-disables it. The
 // Auditor type itself is always compiled, so tests exercise it in any build.
 //
+// Sweeps follow the simulated clock only, so which sweeps run never depends
+// on how fast the host is.
+//
 // Results are surfaced through util/stats counters:
 //   audit.passes              completed audit sweeps
 //   audit.checks              individual check executions
@@ -39,7 +42,6 @@
 #ifndef AIRFAIR_SRC_SIM_AUDIT_H_
 #define AIRFAIR_SRC_SIM_AUDIT_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -70,17 +72,6 @@ class Auditor {
     bool fatal = true;
     // Cap on retained AuditViolation records (counters keep exact totals).
     size_t max_recorded = 256;
-    // Wall-clock batching for sparse workloads: when > 0, a sweep whose
-    // predecessor executed less than this many wall-clock milliseconds ago
-    // is *batched* — the sweep is skipped (counted in batched_sweeps() and
-    // the audit.sweeps.batched counter) and the timer simply re-arms. Dense
-    // runs, where each simulated interval costs real wall time, are
-    // unaffected and keep the exact AIRFAIR_AUDIT_INTERVAL_MS cadence; idle
-    // simulated stretches (30-station sparse-traffic runs skip hundreds of
-    // simulated milliseconds in microseconds of wall time) collapse to one
-    // check batch per wall-clock window instead of one per simulated
-    // interval. 0 disables batching (every sweep runs its checks).
-    double min_wall_interval_ms = 0.0;
   };
 
   // The auditor observes the loop; both must outlive it. Stops on
@@ -120,8 +111,6 @@ class Auditor {
   int64_t passes() const { return passes_; }
   int64_t checks_run() const { return checks_run_; }
   int64_t violations() const { return violations_; }
-  // Sweeps skipped by Config::min_wall_interval_ms batching.
-  int64_t batched_sweeps() const { return batched_sweeps_; }
   bool running() const { return timer_.pending(); }
 
   // Most recent violations, oldest first, capped at Config::max_recorded.
@@ -138,17 +127,12 @@ class Auditor {
   int64_t passes_ = 0;
   int64_t checks_run_ = 0;
   int64_t violations_ = 0;
-  int64_t batched_sweeps_ = 0;
-  // Wall-clock timestamp of the last sweep that actually ran its checks
-  // (for Config::min_wall_interval_ms batching).
-  std::chrono::steady_clock::time_point last_checked_wall_{};
-  bool has_checked_ = false;
 };
 
 // True when invariant auditing should be on by default: the build defined
-// AIRFAIR_AUDIT, or the environment sets AIRFAIR_AUDIT=1 (any value other
-// than "0" or empty). AIRFAIR_AUDIT=0 in the environment overrides the
-// compile-time default, so audit binaries can run un-audited benchmarks.
+// AIRFAIR_AUDIT, or the environment sets AIRFAIR_AUDIT=1. AIRFAIR_AUDIT=0 in
+// the environment overrides the compile-time default, so audit binaries can
+// run un-audited benchmarks; any other value exits 2 (src/util/env.h).
 bool AuditEnabledByDefault();
 
 }  // namespace airfair

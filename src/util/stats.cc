@@ -94,31 +94,6 @@ double SampleSet::Quantile(double q) const {
   return QuantileOfSorted(SortedView(scratch), q);
 }
 
-double SampleSet::CdfAt(double x) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  std::vector<double> scratch;
-  const std::vector<double>& sorted = SortedView(scratch);
-  const auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
-  return static_cast<double>(it - sorted.begin()) / static_cast<double>(sorted.size());
-}
-
-std::vector<std::pair<double, double>> SampleSet::CdfPoints(int points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points <= 0) {
-    return out;
-  }
-  std::vector<double> scratch;
-  const std::vector<double>& sorted = SortedView(scratch);
-  out.reserve(static_cast<size_t>(points));
-  for (int i = 1; i <= points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points);
-    out.emplace_back(QuantileOfSorted(sorted, q), q);
-  }
-  return out;
-}
-
 double JainFairnessIndex(std::span<const double> shares) {
   if (shares.empty()) {
     return 1.0;
@@ -133,14 +108,6 @@ double JainFairnessIndex(std::span<const double> shares) {
     return 1.0;
   }
   return (sum * sum) / (static_cast<double>(shares.size()) * sum_sq);
-}
-
-double ThroughputMeter::Mbps(TimeUs start, TimeUs end) const {
-  const TimeUs span = end - start;
-  if (span.us() <= 0) {
-    return 0.0;
-  }
-  return static_cast<double>(bytes_) * 8.0 / span.ToSeconds() / 1e6;
 }
 
 double MedianOf(std::vector<double> values) {

@@ -1,6 +1,6 @@
 // Statistics utilities used by the evaluation harness: running summary
-// statistics, sample collections with quantiles/CDFs, throughput meters, and
-// Jain's fairness index (used for the paper's Figure 6).
+// statistics, sample collections with quantiles, and Jain's fairness index
+// (used for the paper's Figure 6).
 
 #ifndef AIRFAIR_SRC_UTIL_STATS_H_
 #define AIRFAIR_SRC_UTIL_STATS_H_
@@ -39,13 +39,13 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-// Collects individual samples and answers quantile / CDF queries.
+// Collects individual samples and answers quantile queries.
 // Used for the latency distributions in Figures 1, 4, 8 and 10.
 //
-// The const query methods never mutate the sample vector: Quantile/CdfAt/
-// CdfPoints on an *unsorted* set sort a local copy (O(n log n) per call);
-// call the explicit Sort() once after ingestion to make subsequent const
-// queries O(1)/O(log n).
+// The const query methods never mutate the sample vector: Quantile on an
+// *unsorted* set sorts a local copy (O(n log n) per call); call the
+// explicit Sort() once after ingestion to make subsequent const queries
+// O(1).
 class SampleSet {
  public:
   void Add(double x);
@@ -68,13 +68,6 @@ class SampleSet {
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
 
-  // Fraction of samples <= x.
-  double CdfAt(double x) const;
-
-  // Evenly spaced (in probability) CDF points, e.g. for plotting/printing:
-  // returns `points` pairs of (value, cumulative probability).
-  std::vector<std::pair<double, double>> CdfPoints(int points) const;
-
   const std::vector<double>& samples() const { return samples_; }
 
  private:
@@ -89,25 +82,6 @@ class SampleSet {
 // Jain's fairness index: (sum x)^2 / (n * sum x^2). Equals 1 for a perfectly
 // even allocation and 1/n when one party receives everything.
 double JainFairnessIndex(std::span<const double> shares);
-
-// Counts bytes over a window to report throughput in Mbit/s.
-class ThroughputMeter {
- public:
-  void AddBytes(int64_t bytes) { bytes_ += bytes; }
-  int64_t total_bytes() const { return bytes_; }
-  int64_t packets() const { return packets_; }
-  void AddPacket(int64_t bytes) {
-    bytes_ += bytes;
-    ++packets_;
-  }
-
-  // Average rate over [start, end] in Mbit/s.
-  double Mbps(TimeUs start, TimeUs end) const;
-
- private:
-  int64_t bytes_ = 0;
-  int64_t packets_ = 0;
-};
 
 // Median of a (small) vector; convenience for aggregating per-repetition
 // results the way the paper does ("median over all repetitions of the

@@ -4,7 +4,7 @@
 // property that makes churn auditable: every packet destroyed by a teardown
 // is accounted as `drained`, so the ledger still balances mid-churn. The
 // last section pins run-level determinism: faulted and traced runs repeat
-// byte-for-byte, and no run depends on the packet pool.
+// byte-for-byte.
 
 #include "src/fault/fault_injector.h"
 
@@ -210,7 +210,6 @@ TestbedConfig ChurnConfig() {
   TestbedConfig config;
   config.scheme = QueueScheme::kAirtimeFair;
   config.seed = 11;
-  config.packet_pool = true;  // The ledger needs pool bookkeeping.
   return config;
 }
 
@@ -308,58 +307,42 @@ TEST(FaultInjection, BurstLossReducesDeliveryDeterministically) {
 
 // --- Windowed Jain semantics under churn ---
 
-TEST(FaultInjection, WindowedJainCountsOnlyPresentStationsByDefault) {
+TEST(FaultInjection, WindowedJainCountsOnlyPresentStations) {
   // A departed station holds zero airtime by definition, so counting it in
-  // the windowed Jain caps every post-leave window at (N-1)/N — the 7/8 =
-  // 0.875 ceiling that forced the churn CI gate down to 0.85. The default
-  // (jain_active_only) scores fairness among the stations actually present;
-  // jain_active_only = false pins the old full-roster semantics. This test
-  // runs the same one-leave scenario under both and checks the tail windows
-  // land on the two predicted values: with station 0 of 3 gone and the other
-  // two splitting airtime evenly, active-only -> ~1.0, full-roster ->
-  // (0.5 + 0.5)^2 / (3 * (0.25 + 0.25)) = 2/3.
-  const std::string dir = ::testing::TempDir();
-  const auto tail_jain = [&](bool active_only, const std::string& tag) {
-    const std::string path = dir + "churn_jain_" + tag + ".jsonl";
-    ::setenv("AIRFAIR_TIMESERIES_JSON", path.c_str(), /*overwrite=*/1);
-    {
-      TestbedConfig config = ChurnConfig();
-      config.jain_active_only = active_only;
-      config.faults = FaultPlan().Leave(0, 500_ms);  // Gone for the rest.
-      // Saturate both survivors (the fast one needs > 70 Mbit/s offered):
-      // only a backlogged station claims its full airtime share, and the
-      // predicted Jain values assume an even split between the two.
-      ChurnRig rig(config, 80e6);
-      rig.tb.sim().RunFor(2_s);
-    }  // ~Testbed writes the artifact.
-    ::unsetenv("AIRFAIR_TIMESERIES_JSON");
+  // the windowed Jain would cap every post-leave window at (N-1)/N — here
+  // (0.5 + 0.5)^2 / (3 * (0.25 + 0.25)) = 2/3 with station 0 of 3 gone. The
+  // index scores fairness among the stations actually present, so with the
+  // two survivors splitting airtime evenly the tail windows land near 1.0.
+  const std::string path = ::testing::TempDir() + "churn_jain.jsonl";
+  ::setenv("AIRFAIR_TIMESERIES_JSON", path.c_str(), /*overwrite=*/1);
+  {
+    TestbedConfig config = ChurnConfig();
+    config.faults = FaultPlan().Leave(0, 500_ms);  // Gone for the rest.
+    // Saturate both survivors (the fast one needs > 70 Mbit/s offered):
+    // only a backlogged station claims its full airtime share, and the
+    // predicted Jain value assumes an even split between the two.
+    ChurnRig rig(config, 80e6);
+    rig.tb.sim().RunFor(2_s);
+  }  // ~Testbed writes the artifact.
+  ::unsetenv("AIRFAIR_TIMESERIES_JSON");
 
-    analyze::TimeseriesData data;
-    std::string error;
-    EXPECT_TRUE(analyze::LoadTimeseriesJsonl(path, &data, &error)) << error;
-    const auto series = data.series.find("airtime_jain");
-    if (series == data.series.end()) {
-      ADD_FAILURE() << "no airtime_jain series in " << path;
-      return 0.0;
+  analyze::TimeseriesData data;
+  std::string error;
+  ASSERT_TRUE(analyze::LoadTimeseriesJsonl(path, &data, &error)) << error;
+  const auto series = data.series.find("airtime_jain");
+  ASSERT_NE(series, data.series.end()) << "no airtime_jain series in " << path;
+  // Mean over the settled tail: well past the leave plus the 200 ms share
+  // window, so every averaged window has station 0 absent throughout.
+  double sum = 0.0;
+  int count = 0;
+  for (const auto& [t_us, value] : series->second) {
+    if (t_us >= 1'500'000) {
+      sum += value;
+      ++count;
     }
-    // Mean over the settled tail: well past the leave plus the 200 ms share
-    // window, so every averaged window has station 0 absent throughout.
-    double sum = 0.0;
-    int count = 0;
-    for (const auto& [t_us, value] : series->second) {
-      if (t_us >= 1'500'000) {
-        sum += value;
-        ++count;
-      }
-    }
-    EXPECT_GT(count, 10);
-    return count > 0 ? sum / count : 0.0;
-  };
-
-  const double active_only = tail_jain(true, "active");
-  const double full_roster = tail_jain(false, "full");
-  EXPECT_GT(active_only, 0.95);
-  EXPECT_NEAR(full_roster, 2.0 / 3.0, 0.05);
+  }
+  ASSERT_GT(count, 10);
+  EXPECT_GT(sum / count, 0.95);
 }
 
 // --- Determinism of faulted and traced runs ---
@@ -376,11 +359,10 @@ ExperimentTiming ShortTiming() {
 // Every fault kind inside ShortTiming's 400 ms span: a leave/rejoin cycle on
 // station 1, a burst-loss window on station 2 and a fade-and-restore on
 // station 0.
-TestbedConfig EveryFaultKindConfig(bool pool) {
+TestbedConfig EveryFaultKindConfig() {
   TestbedConfig config;
   config.seed = 23;
   config.scheme = QueueScheme::kAirtimeFair;
-  config.packet_pool = pool;
   config.faults = FaultPlan()
                       .Leave(1, 120_ms)
                       .Join(1, 240_ms)
@@ -390,26 +372,11 @@ TestbedConfig EveryFaultKindConfig(bool pool) {
   return config;
 }
 
-void ExpectMeasurementsIdentical(const StationMeasurements& a, const StationMeasurements& b) {
-  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
-  EXPECT_EQ(a.airtime_share, b.airtime_share);
-  EXPECT_EQ(a.mean_aggregation, b.mean_aggregation);
-  EXPECT_EQ(a.jain_airtime, b.jain_airtime);
-  EXPECT_EQ(a.total_throughput_mbps, b.total_throughput_mbps);
-}
-
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-TEST(FaultDeterminism, FaultedRunIdenticalWithPoolOnAndOff) {
-  // Every teardown/rejoin mutates station, AP and reorder state; none of it
-  // may depend on how packets are allocated. No tolerances.
-  ExpectMeasurementsIdentical(RunUdpDownload(EveryFaultKindConfig(true), ShortTiming(), 30e6),
-                              RunUdpDownload(EveryFaultKindConfig(false), ShortTiming(), 30e6));
 }
 
 TEST(FaultDeterminism, FaultedTimeseriesRepeatsWithMarksAtScheduledInstants) {
@@ -421,7 +388,7 @@ TEST(FaultDeterminism, FaultedTimeseriesRepeatsWithMarksAtScheduledInstants) {
   const auto run = [&](const std::string& tag) {
     const std::string path = dir + "faulted_series_" + tag + ".jsonl";
     ::setenv("AIRFAIR_TIMESERIES_JSON", path.c_str(), /*overwrite=*/1);
-    RunUdpDownload(EveryFaultKindConfig(true), ShortTiming(), 30e6);
+    RunUdpDownload(EveryFaultKindConfig(), ShortTiming(), 30e6);
     ::unsetenv("AIRFAIR_TIMESERIES_JSON");
     return path;
   };
@@ -455,68 +422,45 @@ TEST(FaultDeterminism, FaultedTimeseriesRepeatsWithMarksAtScheduledInstants) {
   EXPECT_EQ(onsets->second[0].second, 3.0);
 }
 
-TEST(PoolDeterminism, TracedTcpRunExportsIdenticalArtifactsWithPoolOnAndOff) {
+TEST(TraceDeterminism, TracedTcpRunExportsIdenticalArtifactsPerSeed) {
   // The observability artifacts — the Chrome trace ring, dispatch records
   // included, and the metrics timelines — are part of the determinism
-  // contract: they must not depend on how packets are allocated.
+  // contract: the same seed run twice exports the same bytes.
   const std::string dir = ::testing::TempDir();
   struct Artifacts {
     std::string trace;
     std::string series;
   };
-  const auto run = [&](bool pool) {
-    const std::string tag = pool ? "pool" : "heap";
+  const auto run = [&](const std::string& tag) {
     const Artifacts a{dir + "traced_tcp_" + tag + ".json", dir + "traced_tcp_" + tag + ".jsonl"};
     ::setenv("AIRFAIR_TRACE_JSON", a.trace.c_str(), /*overwrite=*/1);
     ::setenv("AIRFAIR_TIMESERIES_JSON", a.series.c_str(), /*overwrite=*/1);
     TestbedConfig config;
     config.seed = 7;
     config.scheme = QueueScheme::kAirtimeFair;
-    config.packet_pool = pool;
     RunTcpDownload(config, ShortTiming());
     ::unsetenv("AIRFAIR_TRACE_JSON");
     ::unsetenv("AIRFAIR_TIMESERIES_JSON");
     return a;
   };
-  const Artifacts pooled = run(true);
-  const Artifacts heap = run(false);
+  const Artifacts first = run("first");
+  const Artifacts second = run("second");
 
-  const std::string trace_bytes = ReadFileBytes(pooled.trace);
+  const std::string trace_bytes = ReadFileBytes(first.trace);
   ASSERT_FALSE(trace_bytes.empty());
-  EXPECT_EQ(trace_bytes, ReadFileBytes(heap.trace));
-  const std::string series_bytes = ReadFileBytes(pooled.series);
+  EXPECT_EQ(trace_bytes, ReadFileBytes(second.trace));
+  const std::string series_bytes = ReadFileBytes(first.series);
   ASSERT_FALSE(series_bytes.empty());
-  EXPECT_EQ(series_bytes, ReadFileBytes(heap.series));
+  EXPECT_EQ(series_bytes, ReadFileBytes(second.series));
 
   // The artifacts carry a real run, not two empty files.
   std::string error;
   analyze::TraceStats stats;
-  ASSERT_TRUE(analyze::LoadChromeTrace(pooled.trace, &stats, &error)) << error;
+  ASSERT_TRUE(analyze::LoadChromeTrace(first.trace, &stats, &error)) << error;
   EXPECT_GT(stats.events, 0);
   analyze::TimeseriesData ts;
-  ASSERT_TRUE(analyze::LoadTimeseriesJsonl(pooled.series, &ts, &error)) << error;
+  ASSERT_TRUE(analyze::LoadTimeseriesJsonl(first.series, &ts, &error)) << error;
   EXPECT_GT(ts.points, 0);
-}
-
-TEST(PoolDeterminism, UdpRunsIdenticalWithPoolOnAndOff) {
-  // The packet pool is a pure allocation strategy: turning it off must not
-  // perturb a single measurement of an unfaulted run, under FIFO or the
-  // airtime scheduler.
-  ExperimentTiming timing;
-  timing.warmup = 300_ms;
-  timing.measure = 900_ms;
-  for (const QueueScheme scheme : {QueueScheme::kFifo, QueueScheme::kAirtimeFair}) {
-    for (uint64_t seed = 7000; seed < 7003; ++seed) {
-      SCOPED_TRACE(std::string(SchemeName(scheme)) + " seed " + std::to_string(seed));
-      TestbedConfig config;
-      config.seed = seed;
-      config.scheme = scheme;
-      config.packet_pool = true;
-      const StationMeasurements pooled = RunUdpDownload(config, timing);
-      config.packet_pool = false;
-      ExpectMeasurementsIdentical(pooled, RunUdpDownload(config, timing));
-    }
-  }
 }
 
 }  // namespace

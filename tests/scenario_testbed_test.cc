@@ -178,7 +178,6 @@ TEST(TestbedScale, HundredTwentyEightStationsConserveUnderAudit) {
   TestbedConfig config = ScaleConfig(128, QueueScheme::kAirtimeFair, 9);
   config.audit = true;
   config.audit_config.interval = 50_ms;
-  config.packet_pool = true;  // The ledger needs pool bookkeeping.
   Testbed tb(config);
   ASSERT_NE(tb.auditor(), nullptr);
   ASSERT_NE(tb.ledger(), nullptr);

@@ -153,84 +153,6 @@ TEST(Auditor, WatchEventLoopPassesOnAHealthyLoop) {
   EXPECT_EQ(auditor.RunChecksNow(), 0);
 }
 
-// ---------------------------------------------------------------------------
-// Wall-clock batching (Config::min_wall_interval_ms): sparse runs where the
-// simulated interval costs almost no wall time collapse to one executed
-// check batch per wall window; the simulated cadence (timer re-arming) is
-// unchanged, and batching off (the default) keeps the exact behaviour.
-
-TEST(AuditorBatching, SkipsSweepsInsideTheWallWindow) {
-  ResetCounters();
-  Simulation sim;
-  Auditor::Config config;
-  config.interval = 10_ms;
-  config.min_wall_interval_ms = 1e9;  // Nothing after the first sweep runs.
-  Auditor auditor(&sim.loop(), config);
-  int runs = 0;
-  auditor.AddCheck("probe", [&runs](const Auditor::FailFn&) { ++runs; });
-  auditor.Start();
-  sim.RunFor(105_ms);
-
-  // 10 sweeps fired on the simulated cadence; only the first executed its
-  // checks, the rest were batched (105 simulated ms runs in far less than
-  // a wall second).
-  EXPECT_EQ(runs, 1);
-  EXPECT_EQ(auditor.passes(), 1);
-  EXPECT_EQ(auditor.batched_sweeps(), 9);
-  EXPECT_EQ(GetCounter("audit.sweeps.batched").value(), 9);
-  EXPECT_TRUE(auditor.running());  // Batched sweeps still re-arm the timer.
-}
-
-TEST(AuditorBatching, ZeroWindowKeepsTheExactSimulatedCadence) {
-  Simulation sim;
-  Auditor::Config config;
-  config.interval = 10_ms;
-  config.min_wall_interval_ms = 0.0;  // Batching disabled (the default).
-  Auditor auditor(&sim.loop(), config);
-  int runs = 0;
-  auditor.AddCheck("probe", [&runs](const Auditor::FailFn&) { ++runs; });
-  auditor.Start();
-  sim.RunFor(105_ms);
-  EXPECT_EQ(runs, 10);
-  EXPECT_EQ(auditor.batched_sweeps(), 0);
-}
-
-TEST(AuditorBatching, RunChecksNowBypassesTheWallWindow) {
-  Simulation sim;
-  Auditor::Config config;
-  config.min_wall_interval_ms = 1e9;
-  Auditor auditor(&sim.loop(), config);
-  int runs = 0;
-  auditor.AddCheck("probe", [&runs](const Auditor::FailFn&) { ++runs; });
-  // Direct sweeps (tests, end-of-run final audits) are never batched.
-  auditor.RunChecksNow();
-  auditor.RunChecksNow();
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(auditor.batched_sweeps(), 0);
-}
-
-TEST(AuditorBatching, TestbedHonorsWallWindowEnvironmentOverride) {
-  const char* old = std::getenv("AIRFAIR_AUDIT_WALL_MS");
-  const std::string saved = old != nullptr ? old : "";
-  const bool had = old != nullptr;
-  setenv("AIRFAIR_AUDIT_WALL_MS", "1e9", 1);
-
-  TestbedConfig config;
-  config.audit = true;
-  config.audit_config.interval = 10_ms;
-  Testbed tb(config);
-  ASSERT_NE(tb.auditor(), nullptr);
-  tb.sim().RunFor(105_ms);
-  EXPECT_EQ(tb.auditor()->passes(), 1);
-  EXPECT_GT(tb.auditor()->batched_sweeps(), 0);
-
-  if (had) {
-    setenv("AIRFAIR_AUDIT_WALL_MS", saved.c_str(), 1);
-  } else {
-    unsetenv("AIRFAIR_AUDIT_WALL_MS");
-  }
-}
-
 TEST(AuditEnvironment, EnvironmentOverridesCompileTimeDefault) {
   // Save and restore whatever the harness set.
   const char* old = std::getenv("AIRFAIR_AUDIT");
@@ -503,7 +425,6 @@ TEST_P(AuditedRun, FullTrafficRunIsViolationFree) {
   config.scheme = GetParam();
   config.audit = true;  // Force on regardless of build/environment.
   config.audit_config.interval = 10_ms;
-  config.packet_pool = true;  // Conservation ledger needs pool bookkeeping.
   Testbed tb(config);
   ASSERT_NE(tb.auditor(), nullptr);
   ASSERT_NE(tb.ledger(), nullptr);
@@ -547,14 +468,13 @@ TEST_P(AuditedRun, FullTrafficRunIsViolationFree) {
 // ---------------------------------------------------------------------------
 // Conservation ledger: the identity balances under live traffic (covered
 // per-scheme above), an injected leak is caught by the registered check with
-// an actionable breakdown, and the ledger is absent without pool bookkeeping.
+// an actionable breakdown, and every testbed builds one.
 
 TEST(ConservationLedger, InjectedLeakIsCaughtWithBreakdown) {
   TestbedConfig config;
   config.seed = 7;
   config.audit = true;
   config.audit_config.fatal = false;  // Inspect the record instead of aborting.
-  config.packet_pool = true;
   Testbed tb(config);
   ASSERT_NE(tb.ledger(), nullptr);
   ASSERT_NE(tb.auditor(), nullptr);
@@ -588,15 +508,26 @@ TEST(ConservationLedger, InjectedLeakIsCaughtWithBreakdown) {
             0u);
 }
 
-TEST(ConservationLedger, AbsentWithoutPacketPool) {
+TEST(ConservationLedger, EveryTestbedPoolsPacketsAndBuildsTheLedger) {
+  {
+    Testbed tb(TestbedConfig{});
+    EXPECT_NE(tb.server_host()->packet_pool(), nullptr);
+    EXPECT_NE(tb.station_host(0)->packet_pool(), nullptr);
+    ASSERT_NE(tb.ledger(), nullptr);
+    EXPECT_EQ(tb.ledger()->Tally().Imbalance(), 0);
+  }
+
+  // A pool-less testbed is a configuration error, reported by a check that
+  // names the field.
+  std::vector<std::string> failures;
+  ScopedCheckFailureHandler guard(
+      [&](const char*, int, const std::string& message) { failures.push_back(message); });
   TestbedConfig config;
-  config.audit = true;
-  config.audit_config.fatal = false;
-  config.packet_pool = false;  // No outstanding() ground truth: no ledger.
+  config.packet_pool = false;
   Testbed tb(config);
-  EXPECT_EQ(tb.ledger(), nullptr);
-  ASSERT_NE(tb.auditor(), nullptr);
-  EXPECT_EQ(tb.auditor()->RunChecksNow(), 0);  // Other checks still run.
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("packet_pool"), std::string::npos) << failures[0];
+  EXPECT_NE(tb.ledger(), nullptr);
 }
 
 const char* SchemeTestName(const ::testing::TestParamInfo<QueueScheme>& param) {

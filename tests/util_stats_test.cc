@@ -77,30 +77,6 @@ TEST(SampleSet, QuantileClampsArgument) {
   EXPECT_DOUBLE_EQ(s.Quantile(2.0), 7.0);
 }
 
-TEST(SampleSet, CdfAt) {
-  SampleSet s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.CdfAt(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.CdfAt(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(s.CdfAt(10.0), 1.0);
-}
-
-TEST(SampleSet, CdfPointsAreMonotone) {
-  SampleSet s;
-  for (int i = 0; i < 50; ++i) {
-    s.Add(static_cast<double>((i * 37) % 17));
-  }
-  const auto points = s.CdfPoints(10);
-  ASSERT_EQ(points.size(), 10u);
-  for (size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].first, points[i - 1].first);
-    EXPECT_GT(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
 TEST(SampleSet, MeanMatches) {
   SampleSet s;
   s.Add(1.0);
@@ -153,19 +129,6 @@ TEST(Jain, PaperAnomalyExample) {
   const double j = JainFairnessIndex(shares);
   EXPECT_LT(j, 0.6);
   EXPECT_GT(j, 0.33);
-}
-
-TEST(ThroughputMeter, ComputesMbps) {
-  ThroughputMeter m;
-  m.AddBytes(1250000);  // 10 Mbit.
-  EXPECT_DOUBLE_EQ(m.Mbps(TimeUs::Zero(), TimeUs::FromSeconds(1)), 10.0);
-  EXPECT_DOUBLE_EQ(m.Mbps(TimeUs::Zero(), TimeUs::FromSeconds(2)), 5.0);
-}
-
-TEST(ThroughputMeter, ZeroWindowIsZero) {
-  ThroughputMeter m;
-  m.AddBytes(1000);
-  EXPECT_DOUBLE_EQ(m.Mbps(TimeUs::FromSeconds(1), TimeUs::FromSeconds(1)), 0.0);
 }
 
 TEST(MedianOf, OddAndEven) {
