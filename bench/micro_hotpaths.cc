@@ -188,8 +188,8 @@ BENCHMARK(BM_TraceEventAppend);
 
 // The same macro with no buffer installed: what every untraced run pays at
 // each instrumentation site (one load + branch). This is the
-// number the "tracing compiled in but disabled must not slow the simulator"
-// guarantee rests on; bench_diff gates it like any other hot-path cost.
+// number the "tracing disabled must not slow the simulator" guarantee
+// rests on; bench_diff gates it like any other hot-path cost.
 void BM_TraceDisabledOverhead(benchmark::State& state) {
   ScopedTraceBuffer scope(nullptr);  // Explicitly no buffer installed.
   TimeUs now;
@@ -220,10 +220,10 @@ void BM_PacketPoolAllocFree(benchmark::State& state) {
 BENCHMARK(BM_PacketPoolAllocFree)->Arg(1)->Arg(0);
 
 // One timeseries sampler tick at N stations — the Testbed sampler's
-// per-tick work after the accumulator rewrite: the deliver sink appends one
-// latency value per delivered packet (O(1) each, modeled by the fill loop),
-// and the tick drains each station's accumulator with a sort + three
-// quantile reads. The delivery count per tick is what the channel yields in
+// per-tick work after the accumulator rewrite: the medium's deliver callback
+// appends one latency value per delivered packet (O(1) each, modeled by the
+// fill loop), and the tick drains each station's accumulator with a sort +
+// three quantile reads. The delivery count per tick is what the channel yields in
 // one 10 ms interval, so it does NOT grow with N — the old ring-scan
 // sampler paid O(trace ring) per station per tick instead, which is the
 // collapse this benchmark guards against at N=256.

@@ -1,10 +1,10 @@
 #include "src/apps/web.h"
 
+#include <cstdio>
 #include <tuple>
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace airfair {
 
@@ -32,7 +32,7 @@ void WebServer::OnAccept(TcpSocket* socket) {
     while (c.buffered >= kRequestBytes) {
       c.buffered -= kRequestBytes;
       if (c.response_sizes.empty()) {
-        AF_LOG(kWarning) << "web server: request without announced size";
+        std::fprintf(stderr, "web server: request without announced size\n");
         break;
       }
       const int64_t size = c.response_sizes.front();

@@ -58,7 +58,7 @@ void FqCodelQdisc::DropFromFattest() {
 }
 
 void FqCodelQdisc::Enqueue(PacketPtr packet) {
-  const uint64_t h = HashFlow(packet->flow, config_.hash_perturbation);
+  const uint64_t h = HashFlow(packet->flow);
   const uint64_t index = h % queues_.size();
   FlowQueue& q = queues_[index];
   const TimeUs now = clock_();
@@ -79,7 +79,6 @@ void FqCodelQdisc::Enqueue(PacketPtr packet) {
   if (!q.node.linked()) {
     // Queue just became backlogged: it is a "new" flow and gets one
     // priority round (the sparse-flow optimisation).
-    q.is_new = true;
     q.deficit = config_.quantum_bytes;
     new_flows_.PushBack(&q);
   }
@@ -103,7 +102,6 @@ PacketPtr FqCodelQdisc::Dequeue() {
     }
     if (q->deficit <= 0) {
       q->deficit += config_.quantum_bytes;
-      q->is_new = false;
       old_flows_.MoveToBack(q);
       continue;
     }
@@ -121,7 +119,6 @@ PacketPtr FqCodelQdisc::Dequeue() {
       // gaming: it must earn sparse status again); an old-list queue is
       // removed entirely.
       if (from_new) {
-        q->is_new = false;
         old_flows_.MoveToBack(q);
       } else {
         q->node.Unlink();

@@ -33,7 +33,6 @@ struct FqCodelConfig {
   int limit_packets = 10240;
   int quantum_bytes = 1514;
   CoDelParams codel;
-  uint64_t hash_perturbation = 0;
 };
 
 class FqCodelQdisc : public Qdisc {
@@ -73,7 +72,6 @@ class FqCodelQdisc : public Qdisc {
     CoDelState codel;
     ListNode node;  // On new_flows_ or old_flows_ when backlogged.
     HeapSlot backlog_slot;  // In backlog_ when non-empty.
-    bool is_new = false;
   };
 
   void DropFromFattest();

@@ -6,6 +6,14 @@
 #include "src/mac/aggregation.h"
 
 namespace airfair {
+namespace {
+
+// Expected-throughput estimate fed to the adaptation: PHY rate times this
+// MAC-efficiency factor (stands in for the rate-selection algorithm's
+// estimate).
+constexpr double kRateEfficiency = 0.8;
+
+}  // namespace
 
 MacQueueBackend::MacQueueBackend(Simulation* sim, const StationTable* stations,
                                  uint32_t ap_node_id, const Config& config)
@@ -43,7 +51,7 @@ void MacQueueBackend::Enqueue(PacketPtr packet, StationId station) {
   // Refresh the rate-selection throughput estimate driving the CoDel
   // adaptation.
   adaptation_.UpdateExpectedThroughput(
-      station, stations_->Get(station).rate.bps * config_.rate_efficiency);
+      station, stations_->Get(station).rate.bps * kRateEfficiency);
   const Tid tid = packet->tid;
   queues_.Enqueue(std::move(packet), station, tid);
   MarkBacklogged(station, tid);

@@ -37,10 +37,6 @@ class MacQueueBackend : public ApQueueBackend {
     // Charge received airtime to station deficits (the paper's improvement
     // #2; disabling it is an ablation).
     bool rx_airtime_accounting = true;
-    // Expected-throughput estimate fed to the adaptation: PHY rate times
-    // this MAC-efficiency factor (stands in for the rate-selection
-    // algorithm's estimate).
-    double rate_efficiency = 0.8;
   };
 
   MacQueueBackend(Simulation* sim, const StationTable* stations, uint32_t ap_node_id,

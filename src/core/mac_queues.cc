@@ -78,7 +78,7 @@ void MacQueues::Enqueue(PacketPtr packet, StationId station, Tid tid) {
   }
 
   TidQueue& txq = GetOrCreateTid(station, tid);
-  const uint64_t h = HashFlow(packet->flow, config_.hash_perturbation);
+  const uint64_t h = HashFlow(packet->flow);
   FlowQueue* queue = &pool_[h % pool_.size()];
   // Hash collision across TIDs: divert to this TID's overflow queue
   // (Algorithm 1, lines 6-8).

@@ -47,7 +47,6 @@ class MacQueues {
     int flow_queues = 4096;
     int global_limit_packets = 8192;
     int quantum_bytes = 300;
-    uint64_t hash_perturbation = 0;
   };
 
   MacQueues(InlineFunction<TimeUs()> clock, const Config& config);

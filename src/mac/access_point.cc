@@ -4,7 +4,6 @@
 
 #include "src/mac/wifi_constants.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace airfair {
 

@@ -5,7 +5,6 @@
 
 #include "src/obs/trace.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace airfair {
 
@@ -173,7 +172,7 @@ void WifiMedium::ResolveGrant(int defer_slots) {
   // move-only captures (no shared_ptr holder), and the closure — a pointer,
   // a vector, a bool — fits EventFn's inline buffer, so scheduling the
   // completion allocates nothing.
-  // airfair-lint: allow(callback-lifetime): the Testbed destroys the Simulation (and every queued event) before the medium it owns.
+  // airfair-lint: allow(callback-lifetime): no event runs once ~Testbed starts, destroying a queued closure never touches its `this`, and its PacketPtrs return to the Testbed's packet pool, which outlives its Simulation.
   sim_->PostAfter(occupancy,
                   [this, pending = std::move(transmissions), collision]() mutable {
                     CompleteTransmissions(std::move(pending), collision);

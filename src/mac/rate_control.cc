@@ -58,10 +58,6 @@ void MinstrelRateControl::ReportResult(int mcs, int attempted, int succeeded) {
   s.successes += succeeded;
 }
 
-double MinstrelRateControl::DeliveryProbability(int mcs) const {
-  return stats_[static_cast<size_t>(mcs)].ewma_prob;
-}
-
 double MinstrelRateControl::ExpectedThroughputBps() const { return GoodputBps(BestMcs()); }
 
 }  // namespace airfair

@@ -40,9 +40,6 @@ class MinstrelRateControl {
   // how many the block-ack confirmed.
   void ReportResult(int mcs, int attempted, int succeeded);
 
-  // Smoothed delivery probability for `mcs` (1.0 until first feedback).
-  double DeliveryProbability(int mcs) const;
-
   // Expected MAC throughput at the current best rate: PHY rate times
   // delivery probability (the Section 3.1.1 estimate).
   double ExpectedThroughputBps() const;

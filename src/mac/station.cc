@@ -6,15 +6,16 @@
 #include "src/mac/wifi_constants.h"
 
 namespace airfair {
+namespace {
+
+// Per-AC uplink FIFO length: the stock pfifo's 1000 packets.
+constexpr size_t kUplinkQueueLimit = 1000;
+
+}  // namespace
 
 WifiStation::WifiStation(Simulation* sim, WifiMedium* medium, const StationTable* stations,
-                         StationId id, uint32_t ap_node_id, int uplink_queue_limit)
-    : sim_(sim),
-      medium_(medium),
-      stations_(stations),
-      id_(id),
-      ap_node_id_(ap_node_id),
-      uplink_queue_limit_(uplink_queue_limit) {
+                         StationId id, uint32_t ap_node_id)
+    : sim_(sim), medium_(medium), stations_(stations), id_(id), ap_node_id_(ap_node_id) {
   for (int i = 0; i < kNumAccessCategories; ++i) {
     const auto ac = static_cast<AccessCategory>(i);
     acs_[static_cast<size_t>(i)] = std::make_unique<AcQueue>(this, ac);
@@ -43,7 +44,7 @@ void WifiStation::SendUplink(PacketPtr packet) {
     return;
   }
   AcQueue* q = acs_[static_cast<size_t>(packet->ac())].get();
-  if (static_cast<int>(q->fifo_.size()) >= uplink_queue_limit_) {
+  if (q->fifo_.size() >= kUplinkQueueLimit) {
     ++uplink_drops_;
     return;
   }

@@ -24,7 +24,7 @@ namespace airfair {
 class WifiStation {
  public:
   WifiStation(Simulation* sim, WifiMedium* medium, const StationTable* stations, StationId id,
-              uint32_t ap_node_id, int uplink_queue_limit = 1000);
+              uint32_t ap_node_id);
 
   WifiStation(const WifiStation&) = delete;
   WifiStation& operator=(const WifiStation&) = delete;
@@ -72,7 +72,6 @@ class WifiStation {
   const StationTable* stations_;
   StationId id_;
   uint32_t ap_node_id_;
-  int uplink_queue_limit_;
   MacSequencer sequencer_;
   std::array<std::unique_ptr<AcQueue>, kNumAccessCategories> acs_;
   int64_t uplink_drops_ = 0;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/logging.h"
 #include "src/util/stats.h"
 
 namespace airfair {
@@ -40,7 +39,6 @@ void Host::Deliver(PacketPtr packet) {
   const auto it = ports_.find(packet->flow.dst_port);
   if (it == ports_.end()) {
     ++undeliverable_;
-    AF_LOG(kDebug) << "node " << node_id_ << ": no endpoint on port " << packet->flow.dst_port;
     return;
   }
   ++packets_delivered_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace airfair {
 
@@ -492,8 +491,7 @@ void TcpListener::Deliver(PacketPtr packet) {
     return;
   }
   if (packet->type != PacketType::kTcpCtrl || !packet->tcp.syn) {
-    AF_LOG(kDebug) << "listener: non-SYN for unknown flow dropped";
-    return;
+    return;  // Non-SYN for an unknown flow.
   }
   // New connection: the server-side socket's outbound flow is the reverse of
   // the client's.

@@ -31,13 +31,13 @@ void WiredLink::Direction::StartNext() {
   // event closure (EventFn accepts move-only captures, so no shared_ptr
   // holder and no heap traffic); if the simulation ends before the event
   // fires, the closure's destructor releases the packet.
-  // airfair-lint: allow(callback-lifetime): the Testbed destroys the Simulation (draining every queued event) before the links it owns.
+  // airfair-lint: allow(callback-lifetime): no event runs once ~Testbed starts, destroying a queued closure never touches its `this`, and its PacketPtrs return to the Testbed's packet pool, which outlives its Simulation.
   sim_->PostAfter(tx_time + config_.one_way_delay, [this, packet = std::move(packet)]() mutable {
     AF_DCHECK(deliver_) << " wired link delivery not wired";
     ++delivered_;
     deliver_(std::move(packet));
   });
-  // airfair-lint: allow(callback-lifetime): same Testbed ownership as above.
+  // airfair-lint: allow(callback-lifetime): same reason as above.
   sim_->PostAfter(tx_time, [this] { StartNext(); });
 }
 

@@ -10,7 +10,7 @@ int Timeseries::Series(const std::string& name) {
   }
   names_.push_back(name);
   points_.emplace_back();
-  points_.back().reserve(config_.reserve_points);
+  points_.back().reserve(kReservePoints);
   return static_cast<int>(names_.size()) - 1;
 }
 

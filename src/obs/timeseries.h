@@ -32,13 +32,7 @@ class Timeseries {
     double value = 0.0;
   };
 
-  struct Config {
-    // Points reserved per series at registration.
-    size_t reserve_points = 4096;
-  };
-
-  Timeseries() : Timeseries(Config()) {}
-  explicit Timeseries(const Config& config) : config_(config) {}
+  Timeseries() = default;
 
   Timeseries(const Timeseries&) = delete;
   Timeseries& operator=(const Timeseries&) = delete;
@@ -63,7 +57,9 @@ class Timeseries {
   bool empty() const { return total_points() == 0; }
 
  private:
-  Config config_;
+  // Points reserved per series at registration.
+  static constexpr size_t kReservePoints = 4096;
+
   std::vector<std::string> names_;
   std::vector<std::vector<Point>> points_;
 };

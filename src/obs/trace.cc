@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/util/env.h"
 
@@ -74,45 +73,10 @@ TraceBuffer::TraceBuffer(const Config& config) {
   const size_t capacity = RoundUpPow2(config.capacity < 2 ? 2 : config.capacity);
   ring_.resize(capacity);
   mask_ = capacity - 1;
-  interned_.reserve(config.intern_capacity < 1 ? 1 : config.intern_capacity);
 }
 
-uint16_t TraceBuffer::Intern(const char* s) {
-  if (s == nullptr) {
-    return 0;
-  }
-  // Fast path: pointer identity (string literals re-passed from the same
-  // instrumentation site).
-  for (size_t i = 0; i < interned_.size(); ++i) {
-    if (interned_[i] == s) {
-      return static_cast<uint16_t>(i + 1);
-    }
-  }
-  // Slow path: contents match across distinct literals.
-  for (size_t i = 0; i < interned_.size(); ++i) {
-    if (std::strcmp(interned_[i], s) == 0) {
-      return static_cast<uint16_t>(i + 1);
-    }
-  }
-  if (interned_.size() >= interned_.capacity() || interned_.size() >= 0xFFFF) {
-    return 0;  // Table full: never allocate past the reservation.
-  }
-  interned_.push_back(s);
-  return static_cast<uint16_t>(interned_.size());
-}
-
-const char* TraceBuffer::LabelName(uint16_t id) const {
-  if (id == 0 || id > interned_.size()) {
-    return "";
-  }
-  return interned_[id - 1];
-}
-
-void TraceBuffer::ForEachSince(uint64_t since,
-                               FunctionRef<void(const TraceRecord&)> fn) const {
-  const uint64_t oldest = overwritten();
-  uint64_t begin = since > oldest ? since : oldest;
-  for (uint64_t seq = begin; seq < head_; ++seq) {
+void TraceBuffer::ForEach(FunctionRef<void(const TraceRecord&)> fn) const {
+  for (uint64_t seq = overwritten(); seq < head_; ++seq) {
     fn(ring_[static_cast<size_t>(seq) & mask_]);
   }
 }
@@ -137,13 +101,12 @@ void TraceBuffer::DumpTail(size_t n) const {
     const TraceRecord& rec = ring_[static_cast<size_t>(seq) & mask_];
     std::fprintf(stderr,
                  "[trace] #%llu t=%lldus %-15s station=%d tid=%d "
-                 "a0=%lld a1=%lld a2=%lld%s%s\n",
+                 "a0=%lld a1=%lld a2=%lld\n",
                  static_cast<unsigned long long>(seq),
                  static_cast<long long>(rec.t_us),
                  TraceEventTypeName(static_cast<TraceEventType>(rec.type)),
                  rec.station, rec.tid, static_cast<long long>(rec.a0),
-                 static_cast<long long>(rec.a1), static_cast<long long>(rec.a2),
-                 rec.label != 0 ? " label=" : "", LabelName(rec.label));
+                 static_cast<long long>(rec.a1), static_cast<long long>(rec.a2));
   }
   std::fflush(stderr);
 }
@@ -158,16 +121,12 @@ TraceBuffer* SetCurrentTraceBuffer(TraceBuffer* buffer) {
 
 bool TraceEnabledByDefault() {
   // An explicit AIRFAIR_TRACE wins in both directions; else asking for an
-  // export implies tracing. The flag is parsed even when tracing is
-  // compiled out, so a malformed value fails the same way in every build.
+  // export implies tracing.
   const auto set = [](const char* name) {
     const char* v = std::getenv(name);
     return v != nullptr && v[0] != '\0';
   };
-  const bool on =
-      EnvFlag("AIRFAIR_TRACE", set("AIRFAIR_TRACE_JSON") || set("AIRFAIR_TIMESERIES_JSON"));
-  // Compiled out: macros are no-ops, a buffer would be inert.
-  return AIRFAIR_TRACE_ENABLED && on;
+  return EnvFlag("AIRFAIR_TRACE", set("AIRFAIR_TRACE_JSON") || set("AIRFAIR_TIMESERIES_JSON"));
 }
 
 }  // namespace airfair

@@ -3,21 +3,18 @@
 // paths at near-zero cost.
 //
 // Design constraints (DESIGN.md §7):
-//   - No hot-path allocation: the ring and the string-intern table are
-//     pre-sized at construction; Append is a store into a preallocated
-//     slot plus a counter increment. Overwrite-oldest semantics make the
-//     buffer a crash flight recorder: the last `capacity` events are
-//     always available for post-mortem dumps.
-//   - Compile-time gate (AIRFAIR_TRACE, on by default) plus a runtime
-//     gate: instrumentation sites use the AF_TRACE_* macros below, which
-//     compile to nothing when tracing is compiled out and to a single
-//     load + null check when it is compiled in but no buffer is installed.
-//     Benches therefore carry the instrumentation at no measurable cost
-//     unless a run opts in (AIRFAIR_TRACE=1 or one of the
-//     AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON export paths is set).
+//   - No hot-path allocation: the ring is pre-sized at construction;
+//     Append is a store into a preallocated slot plus a counter increment.
+//     Overwrite-oldest semantics make the buffer a crash flight recorder:
+//     the last `capacity` events are always available for post-mortem
+//     dumps.
+//   - One runtime gate: instrumentation sites use the AF_TRACE_* macros
+//     below, which cost a single load + null check when no buffer is
+//     installed (BM_TraceDisabledOverhead). Benches therefore carry the
+//     instrumentation at no measurable cost unless a run opts in
+//     (AIRFAIR_TRACE=1 or one of the AIRFAIR_TRACE_JSON /
+//     AIRFAIR_TIMESERIES_JSON export paths is set).
 //   - Records are PODs of exactly 48 bytes; strings never enter the ring.
-//     The few sites that want a name attach an interned id resolved
-//     against a pointer-identity table (string literals only).
 //   - The "current" buffer is one process-wide pointer, like the
 //     check-failure hooks in util/check.h: the live Testbed installs its
 //     buffer and restores the previous one on destruction (DESIGN.md §8).
@@ -82,14 +79,12 @@ struct TraceRecord {
   int64_t a2 = 0;
   int32_t station = -1; // Station id, -1 when not applicable.
   int32_t tid = -1;     // 802.11 TID, -1 when not applicable.
-  uint16_t type = 0;    // TraceEventType.
-  uint16_t label = 0;   // Interned string id, 0 = none.
-  uint32_t pad = 0;
+  uint16_t type = 0;    // TraceEventType; trailing padding rounds to 48.
 };
 static_assert(sizeof(TraceRecord) == 48, "trace records are 48-byte PODs");
 
-// Overwrite-oldest ring of TraceRecords plus a small string-intern table.
-// One buffer belongs to one repetition (see SetCurrentTraceBuffer below).
+// Overwrite-oldest ring of TraceRecords. One buffer belongs to one
+// repetition (see SetCurrentTraceBuffer below).
 class TraceBuffer {
  public:
   struct Config {
@@ -97,8 +92,6 @@ class TraceBuffer {
     // (64Ki records = 3 MiB) holds the last few hundred milliseconds of a
     // dense run — plenty for a flight-recorder dump, bounded for exports.
     size_t capacity = size_t{1} << 16;
-    // Intern-table slots, pre-reserved so Intern never allocates.
-    size_t intern_capacity = 256;
   };
 
   TraceBuffer() : TraceBuffer(Config()) {}
@@ -113,23 +106,9 @@ class TraceBuffer {
   using ClockFn = InlineFunction<TimeUs()>;
   void set_clock(ClockFn clock) { clock_ = std::move(clock); }
 
-  // Synchronous observer for kDeliver records, invoked from Append with the
-  // freshly written record. The Testbed's sampler feeds its per-station
-  // latency accumulators from here — O(1) per delivery — instead of
-  // re-scanning the ring every sample tick, which was O(ring) per sample
-  // and fell over at large station counts. A plain function pointer plus
-  // context (no std::function) keeps the disabled path a single null check
-  // and the hot path allocation-free. The sink must not append to the
-  // buffer reentrantly.
-  using DeliverSinkFn = void (*)(void* ctx, const TraceRecord& rec);
-  void set_deliver_sink(DeliverSinkFn sink, void* ctx) {
-    deliver_sink_ = sink;
-    deliver_sink_ctx_ = ctx;
-  }
-
   // Appends a record with an explicit timestamp. Never allocates.
   void Append(TimeUs t, TraceEventType type, int32_t station, int32_t tid,
-              int64_t a0, int64_t a1, int64_t a2, uint16_t label = 0) {
+              int64_t a0, int64_t a1, int64_t a2) {
     TraceRecord& rec = ring_[static_cast<size_t>(head_) & mask_];
     rec.t_us = t.us();
     rec.a0 = a0;
@@ -138,30 +117,14 @@ class TraceBuffer {
     rec.station = station;
     rec.tid = tid;
     rec.type = static_cast<uint16_t>(type);
-    rec.label = label;
     ++head_;
-    if (type == TraceEventType::kDeliver && deliver_sink_ != nullptr) {
-      deliver_sink_(deliver_sink_ctx_, rec);
-    }
   }
 
   // Appends stamped with the installed clock (t=0 when none is set).
   void AppendNow(TraceEventType type, int32_t station, int32_t tid,
-                 int64_t a0, int64_t a1, int64_t a2, uint16_t label = 0) {
-    Append(clock_ ? clock_() : TimeUs(0), type, station, tid, a0, a1, a2, label);
+                 int64_t a0, int64_t a1, int64_t a2) {
+    Append(clock_ ? clock_() : TimeUs(0), type, station, tid, a0, a1, a2);
   }
-
-  // Interns a string literal and returns its id (1-based; 0 = table full
-  // or null). Fast path is a pointer-identity scan, so passing the same
-  // literal repeatedly is cheap; a strcmp pass catches distinct pointers
-  // with equal contents. Only pointers are stored — the caller's string
-  // must outlive the buffer (string literals do). Never allocates beyond
-  // the reservation made at construction.
-  uint16_t Intern(const char* s);
-
-  // Resolves an interned id; "" for 0 / out of range.
-  const char* LabelName(uint16_t id) const;
-  size_t interned_count() const { return interned_.size(); }
 
   // Monotonic count of all records ever appended.
   uint64_t total_appended() const { return head_; }
@@ -175,11 +138,8 @@ class TraceBuffer {
     return head_ > ring_.size() ? head_ - ring_.size() : 0;
   }
 
-  // Visits resident records oldest-first. `since` is a total_appended()
-  // watermark: records with sequence < since are skipped (sampling code
-  // remembers the previous head to visit only new records).
-  void ForEachSince(uint64_t since, FunctionRef<void(const TraceRecord&)> fn) const;
-  void ForEach(FunctionRef<void(const TraceRecord&)> fn) const { ForEachSince(0, fn); }
+  // Visits resident records oldest-first.
+  void ForEach(FunctionRef<void(const TraceRecord&)> fn) const;
 
   // Copies out the resident records, oldest-first.
   std::vector<TraceRecord> Snapshot() const;
@@ -188,16 +148,11 @@ class TraceBuffer {
   // flight recorder (invoked from the AF_CHECK failure path).
   void DumpTail(size_t n) const;
 
-  void Clear() { head_ = 0; }
-
  private:
   std::vector<TraceRecord> ring_;
   size_t mask_ = 0;
   uint64_t head_ = 0;
-  std::vector<const char*> interned_;
   ClockFn clock_;
-  DeliverSinkFn deliver_sink_ = nullptr;
-  void* deliver_sink_ctx_ = nullptr;
 };
 
 // --- Current-buffer installation (runtime gate) ----------------------------
@@ -221,11 +176,10 @@ class ScopedTraceBuffer {
   TraceBuffer* previous_;
 };
 
-// Whether new Testbeds should build + install a trace buffer. False when
-// tracing is compiled out. Otherwise the environment decides:
-// AIRFAIR_TRACE=1/0 wins (any other value exits 2, src/util/env.h); else
-// setting either export path (AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON)
-// implies tracing; else off.
+// Whether new Testbeds should build + install a trace buffer. The
+// environment decides: AIRFAIR_TRACE=1/0 wins (any other value exits 2,
+// src/util/env.h); else setting either export path (AIRFAIR_TRACE_JSON /
+// AIRFAIR_TIMESERIES_JSON) implies tracing; else off.
 bool TraceEnabledByDefault();
 
 }  // namespace airfair
@@ -234,16 +188,8 @@ bool TraceEnabledByDefault();
 //
 // Hot-path code (src/{core,mac,aqm,sim}) must use these macros and never
 // call TraceBuffer methods directly (lint rule trace-macro-discipline):
-// the macros are the only spelling that compiles to nothing when tracing
-// is compiled out, keeping the disabled path zero-cost.
-
-#if defined(AIRFAIR_TRACE)
-#define AIRFAIR_TRACE_ENABLED 1
-#else
-#define AIRFAIR_TRACE_ENABLED 0
-#endif
-
-#if AIRFAIR_TRACE_ENABLED
+// the macros carry the installed-buffer null check, so a run without a
+// buffer pays one load and one branch per site.
 
 // Explicit-timestamp append; `type` is a TraceEventType enumerator name.
 #define AF_TRACE_AT(t, type, station, tid, a0, a1, a2)                        \
@@ -265,31 +211,9 @@ bool TraceEnabledByDefault();
     }                                                                         \
   } while (0)
 
-#else  // !AIRFAIR_TRACE_ENABLED
-
-// Disabled: the arguments still have to compile (same discipline as the
-// AF_DCHECK no-op forms) but are never evaluated at runtime — the dead
-// branch keeps variables that only feed tracing from tripping
-// -Wunused-but-set-variable.
-#define AF_TRACE_AT(t, type, station, tid, a0, a1, a2)               \
-  do {                                                               \
-    if (false) {                                                     \
-      (void)(t);                                                     \
-      (void)(station);                                               \
-      (void)(tid);                                                   \
-      (void)(a0);                                                    \
-      (void)(a1);                                                    \
-      (void)(a2);                                                    \
-    }                                                                \
-  } while (0)
-#define AF_TRACE_NOW(type, station, tid, a0, a1, a2) \
-  AF_TRACE_AT(::airfair::TimeUs(0), type, station, tid, a0, a1, a2)
-
-#endif  // AIRFAIR_TRACE_ENABLED
-
 // Named lifecycle wrappers (argument mapping documented per event type in
 // TraceEventType above). These expand through AF_TRACE_AT / AF_TRACE_NOW,
-// so they share the same compile-time and runtime gates.
+// so they share the same runtime gate.
 #define AF_TRACE_ENQUEUE(t, station, tid, bytes, depth) \
   AF_TRACE_AT(t, kEnqueue, station, tid, bytes, depth, 0)
 #define AF_TRACE_DEQUEUE(t, station, tid, sojourn_us, depth) \

@@ -31,8 +31,7 @@ double JainOverBulk(const std::vector<double>& shares, const std::vector<bool>& 
   return JainFairnessIndex(selected);
 }
 
-void FillAggregation(const Testbed& tb, AccessPoint& ap, int n, StationMeasurements* out) {
-  (void)tb;
+void FillAggregation(AccessPoint& ap, int n, StationMeasurements* out) {
   out->mean_aggregation.resize(static_cast<size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
     out->mean_aggregation[static_cast<size_t>(i)] = ap.AggregationStats(i).mean();
@@ -73,7 +72,7 @@ StationMeasurements RunUdpDownload(const TestbedConfig& config, const Experiment
     out.throughput_mbps.push_back(mbps);
     out.total_throughput_mbps += mbps;
   }
-  FillAggregation(tb, tb.ap(), n, &out);
+  FillAggregation(tb.ap(), n, &out);
   return out;
 }
 
@@ -168,7 +167,7 @@ StationMeasurements RunTcpDownload(const TestbedConfig& config, const Experiment
       out.ping_rtt_ms[static_cast<size_t>(i)] = pings[static_cast<size_t>(i)]->rtt_ms();
     }
   }
-  FillAggregation(tb, tb.ap(), n, &out);
+  FillAggregation(tb.ap(), n, &out);
   return out;
 }
 

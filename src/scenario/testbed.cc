@@ -137,7 +137,17 @@ Testbed::Testbed(const TestbedConfig& config)
       &sim_, [this](PacketPtr packet) { ap_->FromWifi(std::move(packet)); }));
   medium_.set_deliver([this](PacketPtr packet, uint32_t src_node, uint32_t dst_node) {
     const Tid tid = packet->tid;
-    if (dst_node == ap_node()) {
+    const bool uplink = dst_node == ap_node();
+    if (trace_ != nullptr) {
+      // Sampler input: the station's end-to-end latency, downlink or uplink,
+      // counted before any churn drain like the medium's kDeliver record.
+      const StationId station = station_table_.FromNode(uplink ? src_node : dst_node);
+      if (station != kNoStation) {
+        latency_accum_[static_cast<size_t>(station)].push_back(
+            static_cast<double>(sim_.now().us() - packet->created.us()));
+      }
+    }
+    if (uplink) {
       reorder_.back()->Receive(std::move(packet), src_node, tid);
       return;
     }
@@ -295,14 +305,7 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   if (!config.trace) {
     return;
   }
-  TraceBuffer::Config trace_config = config.trace_config;
-  // Intern slots scale with the topology instead of a hard 256: every
-  // per-station instrumentation site that labels records gets a slot with
-  // headroom, so a 256-station run cannot silently exhaust the table
-  // (Intern returns 0 = unlabelled when full).
-  trace_config.intern_capacity =
-      std::max(trace_config.intern_capacity, 64 + 2 * config.stations.size());
-  trace_ = std::make_unique<TraceBuffer>(trace_config);
+  trace_ = std::make_unique<TraceBuffer>(config.trace_config);
   Simulation* sim = &sim_;
   trace_->set_clock([sim] { return sim->now(); });
   prev_trace_ = SetCurrentTraceBuffer(trace_.get());
@@ -336,18 +339,7 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   airtime_history_.assign(
       kAirtimeWindowSamples,
       std::vector<TimeUs>(static_cast<size_t>(station_table_.size()), TimeUs::Zero()));
-
-  // Incremental latency accumulation: every kDeliver append lands in the
-  // station's accumulator as it happens, so the sample tick below only
-  // sorts and drains — the former per-tick ForEachSince ring scan was
-  // O(ring capacity) per sample regardless of how few records were new,
-  // which dominated the run at large station counts.
-  trace_->set_deliver_sink(&Testbed::DeliverSinkThunk, this);
   ScheduleSample();
-}
-
-void Testbed::DeliverSinkThunk(void* ctx, const TraceRecord& rec) {
-  static_cast<Testbed*>(ctx)->OnDeliverRecord(rec);
 }
 
 void Testbed::ScheduleSample() {
@@ -411,11 +403,10 @@ void Testbed::SampleTimeseries() {
                         static_cast<double>(qdisc_backend_->packet_count()));
   }
 
-  // Per-station end-to-end latency quantiles over the window. The deliver
-  // sink (OnDeliverRecord) accumulated every kDeliver since the previous
-  // tick in append order — identical contents to the retired ring re-scan,
-  // without its O(ring) cost — so this pass only sorts, records and drains.
-  // Clearing keeps each vector's capacity: steady state allocates nothing.
+  // Per-station end-to-end latency quantiles over the window. The medium's
+  // deliver callback accumulated every delivery since the previous tick,
+  // so this pass only sorts, records and drains. Clearing keeps each
+  // vector's capacity: steady state allocates nothing.
   for (size_t i = 0; i < latency_accum_.size(); ++i) {
     std::vector<double>& samples = latency_accum_[i];
     if (samples.empty()) {

@@ -182,17 +182,6 @@ class Testbed {
   void SampleTimeseries();
   void ExportTraceArtifacts();
 
-  // TraceBuffer deliver sink (set_deliver_sink): feeds the per-station
-  // latency accumulators at append time, O(1) per delivered packet.
-  static void DeliverSinkThunk(void* ctx, const TraceRecord& rec);
-  void OnDeliverRecord(const TraceRecord& rec) {
-    if (rec.station >= 0 &&
-        rec.station < static_cast<int32_t>(latency_accum_.size())) {
-      latency_accum_[static_cast<size_t>(rec.station)].push_back(
-          static_cast<double>(rec.a0));
-    }
-  }
-
   // Declared before sim_ on purpose: members destroy in reverse order, so
   // the pool outlives the event loop — closures still holding PacketPtrs
   // release them into a live pool. The pool's destructor checks that no
@@ -233,10 +222,9 @@ class Testbed {
   bool flight_recorder_installed_ = false;
   std::string run_label_;  // "<scheme> n=<stations> seed=<seed>" for exports.
   // Sampler state: a ring of airtime-ledger snapshots implementing the
-  // sliding share window, per-station latency accumulators fed at trace
-  // append time by the deliver sink (drained and re-used every sample
-  // tick), and pre-reserved scratch (steady-state sampling performs no
-  // allocation).
+  // sliding share window, per-station latency accumulators fed by the
+  // medium's deliver callback (drained and re-used every sample tick), and
+  // pre-reserved scratch (steady-state sampling performs no allocation).
   std::vector<std::vector<TimeUs>> airtime_history_;
   size_t airtime_history_pos_ = 0;
   std::vector<std::vector<double>> latency_accum_;

@@ -1,10 +1,10 @@
 #include "src/sim/audit.h"
 
+#include <cstdio>
 #include <utility>
 
 #include "src/util/check.h"
 #include "src/util/env.h"
-#include "src/util/logging.h"
 #include "src/util/stats.h"
 
 namespace airfair {
@@ -57,8 +57,8 @@ int Auditor::RunChecksNow() {
       if (recorded_.size() < config_.max_recorded) {
         recorded_.push_back(AuditViolation{name, message, now});
       }
-      AF_LOG(kError) << "audit violation [" << name << "] at t=" << now.us() << "us: "
-                     << message;
+      std::fprintf(stderr, "audit violation [%s] at t=%lldus: %s\n", name.c_str(),
+                   static_cast<long long>(now.us()), message.c_str());
     };
     check(FailFn(record));
   }

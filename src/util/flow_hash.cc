@@ -15,16 +15,12 @@ uint64_t Avalanche(uint64_t h) {
 
 }  // namespace
 
-uint64_t HashFlow(const FlowKey& key, uint64_t perturbation) {
+uint64_t HashFlow(const FlowKey& key) {
   uint64_t a = (static_cast<uint64_t>(key.src_node) << 32) | key.dst_node;
   uint64_t b = (static_cast<uint64_t>(key.src_port) << 24) |
                (static_cast<uint64_t>(key.dst_port) << 8) | key.protocol;
   uint64_t h = Avalanche(a ^ 0x9E3779B97F4A7C15ull);
-  h = Avalanche(h ^ b);
-  if (perturbation != 0) {
-    h = Avalanche(h ^ perturbation);
-  }
-  return h;
+  return Avalanche(h ^ b);
 }
 
 }  // namespace airfair

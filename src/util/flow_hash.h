@@ -24,10 +24,8 @@ struct FlowKey {
   bool operator==(const FlowKey&) const = default;
 };
 
-// 64-bit mix (xxhash-style avalanche over the packed tuple). `perturbation`
-// decorrelates hash layouts between qdisc instances, like the kernel's
-// per-qdisc hash perturbation.
-uint64_t HashFlow(const FlowKey& key, uint64_t perturbation = 0);
+// 64-bit mix (xxhash-style avalanche over the packed tuple).
+uint64_t HashFlow(const FlowKey& key);
 
 }  // namespace airfair
 

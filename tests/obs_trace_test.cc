@@ -1,5 +1,5 @@
 // Tests for the observability subsystem (src/obs): the flight-recorder
-// TraceBuffer (ring semantics, interning, macro gates), the Timeseries
+// TraceBuffer (ring semantics, macro gate), the Timeseries
 // metrics layer, the exporters' output formats, and — the property the
 // whole design rests on — that tracing never changes simulation results:
 // a traced run is bit-identical to an untraced run of the same scenario
@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,90 +70,19 @@ TEST(TraceBuffer, RingOverwritesOldestAndKeepsTail) {
   }
 }
 
-TEST(TraceBuffer, ForEachSinceSkipsSeenRecords) {
-  TraceBuffer buffer;
-  for (int i = 0; i < 5; ++i) {
-    buffer.Append(TimeUs(i), TraceEventType::kDispatch, -1, -1, i, 0, 0);
-  }
-  const uint64_t watermark = buffer.total_appended();
-  buffer.Append(TimeUs(5), TraceEventType::kDispatch, -1, -1, 5, 0, 0);
-  buffer.Append(TimeUs(6), TraceEventType::kDispatch, -1, -1, 6, 0, 0);
-  std::vector<int64_t> seen;
-  buffer.ForEachSince(watermark, [&seen](const TraceRecord& rec) { seen.push_back(rec.a0); });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], 5);
-  EXPECT_EQ(seen[1], 6);
-}
-
-TEST(TraceBuffer, ForEachSinceClampsToOverwrittenWatermark) {
-  TraceBuffer::Config config;
-  config.capacity = 4;
-  TraceBuffer buffer(config);
-  for (int i = 0; i < 10; ++i) {
-    buffer.Append(TimeUs(i), TraceEventType::kDispatch, -1, -1, i, 0, 0);
-  }
-  // Watermark 2 is older than the oldest resident record (6): the visit
-  // starts at the oldest survivor rather than rereading overwritten slots.
-  std::vector<int64_t> seen;
-  buffer.ForEachSince(2, [&seen](const TraceRecord& rec) { seen.push_back(rec.a0); });
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen.front(), 6);
-  EXPECT_EQ(seen.back(), 9);
-}
-
-TEST(TraceBuffer, ClearResetsCounters) {
-  TraceBuffer buffer;
-  buffer.Append(TimeUs(1), TraceEventType::kDispatch, -1, -1, 0, 0, 0);
-  buffer.Clear();
-  EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_EQ(buffer.total_appended(), 0u);
-}
-
 // ---------------------------------------------------------------------------
-// String interning.
-
-TEST(TraceBuffer, InternIsStableAndDeduplicates) {
-  TraceBuffer buffer;
-  const char* name = "bulk";
-  const uint16_t id = buffer.Intern(name);
-  EXPECT_GE(id, 1u);
-  EXPECT_EQ(buffer.Intern(name), id);  // Pointer-identity fast path.
-  // Distinct pointer, equal contents: the strcmp pass catches it.
-  const std::string copy = "bulk";
-  EXPECT_EQ(buffer.Intern(copy.c_str()), id);
-  EXPECT_STREQ(buffer.LabelName(id), "bulk");
-  EXPECT_EQ(buffer.interned_count(), 1u);
-}
-
-TEST(TraceBuffer, InternReturnsZeroWhenFullOrNull) {
-  TraceBuffer::Config config;
-  config.intern_capacity = 2;
-  TraceBuffer buffer(config);
-  EXPECT_EQ(buffer.Intern(nullptr), 0u);
-  EXPECT_EQ(buffer.Intern("a"), 1u);
-  EXPECT_EQ(buffer.Intern("b"), 2u);
-  EXPECT_EQ(buffer.Intern("c"), 0u);  // Table full: no allocation, id 0.
-  EXPECT_STREQ(buffer.LabelName(0), "");
-  EXPECT_STREQ(buffer.LabelName(77), "");
-}
-
-// ---------------------------------------------------------------------------
-// Macro gates and buffer installation.
+// Macro gate and buffer installation.
 
 TEST(TraceMacros, AppendThroughMacroWhenBufferInstalled) {
   TraceBuffer buffer;
   ScopedTraceBuffer scope(&buffer);
   AF_TRACE_ENQUEUE(TimeUs(10), 1, 0, 1500, 3);
   AF_TRACE_TX_END(TimeUs(20), 1, 2800, 32, 0);
-#if AIRFAIR_TRACE_ENABLED
   ASSERT_EQ(buffer.total_appended(), 2u);
   const auto records = buffer.Snapshot();
   EXPECT_EQ(records[0].type, static_cast<uint16_t>(TraceEventType::kEnqueue));
   EXPECT_EQ(records[1].type, static_cast<uint16_t>(TraceEventType::kTxEnd));
   EXPECT_EQ(records[1].a0, 2800);
-#else
-  EXPECT_EQ(buffer.total_appended(), 0u);
-#endif
 }
 
 TEST(TraceMacros, NoOpWithoutInstalledBuffer) {
@@ -326,9 +257,6 @@ RunOutcome RunScenario(QueueScheme scheme, bool trace) {
 class TraceBitIdentity : public ::testing::TestWithParam<QueueScheme> {};
 
 TEST_P(TraceBitIdentity, TracedRunMatchesUntracedRun) {
-#if !AIRFAIR_TRACE_ENABLED
-  GTEST_SKIP() << "tracing compiled out";
-#endif
   const RunOutcome untraced = RunScenario(GetParam(), /*trace=*/false);
   const RunOutcome traced = RunScenario(GetParam(), /*trace=*/true);
   EXPECT_TRUE(traced == untraced)
@@ -349,9 +277,6 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, TraceBitIdentity,
 // Testbed integration: buffer installation and the flight recorder.
 
 TEST(TestbedTrace, InstallsBufferFlightRecorderAndSamplesSeries) {
-#if !AIRFAIR_TRACE_ENABLED
-  GTEST_SKIP() << "tracing compiled out";
-#endif
   TestbedConfig config;
   config.seed = 5;
   config.scheme = QueueScheme::kAirtimeFair;
@@ -382,6 +307,69 @@ TEST(TestbedTrace, InstallsBufferFlightRecorderAndSamplesSeries) {
   }
   // Destruction uninstalled the buffer.
   EXPECT_EQ(CurrentTraceBuffer(), nullptr);
+}
+
+// The sampler's latency series and the ring's kDeliver records describe the
+// same deliveries: a station has latency points exactly when the ring names
+// it in a kDeliver record, and every windowed p50 and p99 lies within that
+// station's recorded latency range.
+TEST(TestbedTrace, LatencySeriesMatchDeliverRecords) {
+  TestbedConfig config;
+  config.seed = 3;
+  config.scheme = QueueScheme::kAirtimeFair;
+  config.trace = true;
+  config.trace_config.capacity = size_t{1} << 18;  // Must not wrap below.
+  Testbed tb(config);
+
+  UdpSink sink(tb.station_host(0), 6001);
+  UdpSource::Config down;
+  down.rate_bps = 20e6;
+  UdpSource source(tb.server_host(), tb.station_node(0), 6001, down);
+  source.Start();
+  UdpSink up_sink(tb.server_host(), 6002);
+  UdpSource::Config up;
+  up.rate_bps = 2e6;
+  UdpSource up_source(tb.station_host(2), tb.server_node(), 6002, up);
+  up_source.Start();
+  tb.sim().RunFor(300_ms);
+
+  const TraceBuffer& ring = *tb.trace_buffer();
+  ASSERT_EQ(ring.overwritten(), 0u) << "the ring wrapped; enlarge it";
+  const size_t n = static_cast<size_t>(tb.station_count());
+  std::vector<int64_t> min_us(n, INT64_MAX);
+  std::vector<int64_t> max_us(n, INT64_MIN);
+  std::set<size_t> delivered;
+  ring.ForEach([&](const TraceRecord& rec) {
+    if (rec.type != static_cast<uint16_t>(TraceEventType::kDeliver)) {
+      return;
+    }
+    const size_t station = static_cast<size_t>(rec.station);
+    ASSERT_LT(station, n);
+    delivered.insert(station);
+    min_us[station] = std::min(min_us[station], rec.a0);
+    max_us[station] = std::max(max_us[station], rec.a0);
+  });
+  EXPECT_EQ(delivered, (std::set<size_t>{0, 2}));
+
+  Timeseries& ts = *tb.timeseries();
+  std::set<size_t> sampled;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& name = tb.stations().Get(static_cast<StationId>(i)).name;
+    if (!ts.points(ts.Series("latency_p95_us." + name)).empty()) {
+      sampled.insert(i);
+    }
+    for (const char* quantile : {"latency_p50_us.", "latency_p99_us."}) {
+      const auto& points = ts.points(ts.Series(quantile + name));
+      if (!points.empty()) {
+        sampled.insert(i);
+      }
+      for (const Timeseries::Point& p : points) {
+        EXPECT_GE(p.value, static_cast<double>(min_us[i])) << quantile << name << " t=" << p.t_us;
+        EXPECT_LE(p.value, static_cast<double>(max_us[i])) << quantile << name << " t=" << p.t_us;
+      }
+    }
+  }
+  EXPECT_EQ(sampled, delivered);
 }
 
 }  // namespace

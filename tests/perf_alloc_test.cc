@@ -190,32 +190,26 @@ TEST(PerfAllocTest, HandleTimerSteadyStateRecyclesTokens) {
 
 // --- Observability-layer discipline (src/obs) ----------------------------
 // The tracing subsystem's steady state must be allocation-free: the ring
-// and intern table are pre-sized, Append is a slot store, and a Timeseries
-// Record within its reservation is a push into pre-reserved storage.
+// is pre-sized, Append is a slot store, and a Timeseries Record within its
+// reservation is a push into pre-reserved storage.
 
 TEST(PerfAllocTest, TraceBufferAppendIsAllocationFree) {
   TraceBuffer::Config config;
   config.capacity = 1 << 10;
   TraceBuffer buffer(config);
   ScopedTraceBuffer scope(&buffer);
-  const uint16_t label = buffer.Intern("steady");
 
   const std::int64_t before = AllocationCount();
   for (int i = 0; i < 100000; ++i) {
-    // Through the macro (buffer load + store) and past several ring
-    // wraps; re-interning an existing literal is a table scan, not a push.
+    // Through the macro (buffer load + store) and past several ring wraps.
     AF_TRACE_ENQUEUE(TimeUs(i), 1, 0, 1500, i & 63);
-    buffer.Append(TimeUs(i), TraceEventType::kTxEnd, 1, -1, 2800, 32, 0, label);
+    buffer.Append(TimeUs(i), TraceEventType::kTxEnd, 1, -1, 2800, 32, 0);
   }
-  EXPECT_EQ(buffer.Intern("steady"), label);
-  EXPECT_EQ(AllocationCount() - before, 0)
-      << "trace append / re-intern cycle touched the heap";
+  EXPECT_EQ(AllocationCount() - before, 0) << "trace append cycle touched the heap";
   EXPECT_GT(buffer.overwritten(), 0u);
 }
 
 TEST(PerfAllocTest, TimeseriesRecordWithinReservationIsAllocationFree) {
-  Timeseries::Config config;
-  config.reserve_points = 4096;
   Timeseries ts;
   const int a = ts.Series("airtime_share.fast0");
   const int b = ts.Series("airtime_jain");

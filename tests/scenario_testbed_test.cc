@@ -172,9 +172,9 @@ TEST(TestbedScale, ScaleConfigBuildsMixedRateRoster) {
 TEST(TestbedScale, HundredTwentyEightStationsConserveUnderAudit) {
   // The scaling regime with every safety net on: 128 stations, saturating
   // downlink UDP, invariant auditor sweeping and the packet-conservation
-  // ledger balancing. This drives the derived capacities (mailboxes, pool
-  // chunks, intern table) and the dense station/TID indexes well past the
-  // 3- and 30-station sizes the other tests use.
+  // ledger balancing. This drives the derived pool chunk size and the dense
+  // station/TID indexes well past the 3- and 30-station sizes the other
+  // tests use.
   TestbedConfig config = ScaleConfig(128, QueueScheme::kAirtimeFair, 9);
   config.audit = true;
   config.audit_config.interval = 50_ms;

@@ -113,6 +113,9 @@ TEST(ParseTimeseriesJsonl, RejectsMalformedLine) {
   EXPECT_FALSE(ParseTimeseriesJsonl(
       "{\"t_us\":1,\"series\":\"j\",\"value\":0.5}\nnot json\n", &data, &error));
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // Valid JSON without the timeseries fields is malformed too.
+  TimeseriesData other;
+  EXPECT_FALSE(ParseTimeseriesJsonl("{\"nope\":1}\n", &other, &error));
 }
 
 TEST(ParseTimeseriesJsonl, RoundTripsExporterOutput) {
@@ -172,6 +175,29 @@ TEST(PerturbationReconvergenceTest, SegmentsBetweenMarksRecoverIndependently) {
   // Segment (6000, end]: recovery from 8000 onward.
   EXPECT_EQ(results[1].reconverged_at_us, 8000);
   EXPECT_EQ(results[1].reconvergence_us, 2000);
+}
+
+TEST(PerturbationReconvergenceTest, SegmentSamplesTellEmptyFromUnrecovered) {
+  TimeseriesData data;
+  // A leave at 2500 that recovers, a join at 6000 whose segment ends below
+  // the threshold (the 0.50 sample on the join instant belongs to neither
+  // segment), and a trailing leave at 9000 with no samples after it.
+  data.series["airtime_jain"] = {{1000, 0.98}, {2000, 0.97}, {3000, 0.70},
+                                 {3500, 0.80}, {4500, 0.96}, {5500, 0.99},
+                                 {6000, 0.50}, {7000, 0.97}, {8000, 0.60}};
+  data.series[kPerturbationSeries] = {{2500, 1.0}, {6000, 2.0}, {9000, 1.0}};
+  const auto results = PerturbationReconvergence(data, "airtime_jain", 0.95);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].segment_samples, 4);
+  EXPECT_EQ(results[0].reconverged_at_us, 4500);
+  EXPECT_EQ(results[1].segment_samples, 2);
+  EXPECT_EQ(results[1].reconverged_at_us, -1);
+  EXPECT_EQ(results[2].segment_samples, 0);
+  EXPECT_EQ(results[2].reconverged_at_us, -1);
+  std::ostringstream out;
+  PrintPerturbationReport(data, "airtime_jain", 0.95, out);
+  EXPECT_NE(out.str().find("no reconvergence (no samples after mark)"), std::string::npos)
+      << out.str();
 }
 
 TEST(PerturbationReconvergenceTest, UnrecoveredSegmentReportsMinusOne) {
@@ -234,11 +260,6 @@ TEST(SampleQuantileTest, InterpolatesAndHandlesEdges) {
   // Unsorted input is fine; the function sorts a copy.
   EXPECT_DOUBLE_EQ(SampleQuantile({30.0, 10.0, 20.0}, 0.5), 20.0);
   EXPECT_DOUBLE_EQ(SampleQuantile({10.0, 20.0}, 0.5), 15.0);
-}
-
-TEST(SelfTest, Passes) {
-  std::ostringstream out;
-  EXPECT_EQ(TraceStatsSelfTest(out), 0) << out.str();
 }
 
 TEST(Reports, PrintLoadedStatistics) {

@@ -424,10 +424,9 @@ class Linter {
   }
 
   // --- trace-macro-discipline ---
-  // Hot-path code traces through the AF_TRACE_* macros only: they are the
-  // one spelling that compiles to nothing when AIRFAIR_TRACE is off. A
-  // direct TraceBuffer call would silently keep its cost in untraced
-  // builds (and dodge the macros' null-buffer gate).
+  // Hot-path code traces through the AF_TRACE_* macros only: they carry the
+  // installed-buffer null check, which a direct TraceBuffer call would
+  // dodge.
   void LintTraceMacroDiscipline(const FileData& file) {
     static const char* kDirectUse[] = {"TraceBuffer", "CurrentTraceBuffer",
                                        "SetCurrentTraceBuffer", "ScopedTraceBuffer"};
@@ -440,7 +439,7 @@ class Linter {
           Report(file, "trace-macro-discipline", line,
                  std::string(token) +
                      " used directly in a hot-path directory; trace through the "
-                     "AF_TRACE_* macros so untraced builds compile it out");
+                     "AF_TRACE_* macros, which carry the installed-buffer null check");
           break;
         }
       }

@@ -26,7 +26,7 @@
 //   trace-macro-discipline
 //                       direct TraceBuffer / CurrentTraceBuffer use in hot
 //                       dirs — trace through the AF_TRACE_* macros, which
-//                       compile out with AIRFAIR_TRACE off
+//                       carry the installed-buffer null check
 //   use-af-check        assert()/<cassert> in src/ — AF_CHECK/AF_DCHECK
 //                       carry messages and honor the failure handler
 //   include-self-first  a .cc file's first include must be its own header

@@ -1,7 +1,6 @@
 #include "tools/analyze/trace_stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -87,19 +86,6 @@ const char* PerturbationKindName(double code) {
       return "unknown";
   }
 }
-
-// Minimal expectation helper for the self-test.
-struct SelfTestContext {
-  std::ostream& out;
-  int failures = 0;
-
-  void Expect(bool ok, const std::string& what) {
-    if (!ok) {
-      ++failures;
-      out << "self-test FAIL: " << what << "\n";
-    }
-  }
-};
 
 }  // namespace
 
@@ -325,153 +311,6 @@ void PrintPerturbationReport(const TimeseriesData& data, const std::string& seri
     out << "  worst reconvergence: " << worst_us << "us ("
         << static_cast<double>(worst_us) / 1e6 << "s)\n";
   }
-}
-
-int TraceStatsSelfTest(std::ostream& out) {
-  SelfTestContext t{out};
-
-  // --- Chrome trace parsing ---
-  const std::string trace = R"({"displayTimeUnit":"ms","traceEvents":[
-{"name":"process_name","ph":"M","pid":0,"args":{"name":"medium0"}},
-{"name":"tx","ph":"X","pid":0,"tid":0,"ts":100,"dur":50,"args":{"mpdus_ok":4,"mpdus_lost":0}},
-{"name":"tx","ph":"X","pid":0,"tid":1,"ts":200,"dur":150,"args":{"mpdus_ok":1,"mpdus_lost":1}},
-{"name":"dequeue","ph":"i","s":"t","pid":0,"tid":0,"ts":90,"args":{"sojourn_us":40,"depth":3}},
-{"name":"deliver","ph":"i","s":"t","pid":0,"tid":0,"ts":160,"args":{"latency_us":260,"bytes":1500}},
-{"name":"codel_drop","ph":"i","s":"t","pid":0,"tid":1,"ts":170,"args":{"sojourn_us":9000,"drops":1}},
-{"name":"collision","ph":"i","s":"t","pid":0,"tid":999,"ts":180,"args":{"contenders":2,"penalty_us":90}}
-]})";
-  TraceStats stats;
-  std::string error;
-  t.Expect(ParseChromeTrace(trace, &stats, &error), "trace parses: " + error);
-  t.Expect(stats.events == 7, "7 trace events counted");
-  t.Expect(stats.tx_us.size() == 2, "2 tx slices");
-  t.Expect(stats.sojourn_us.size() == 1 && stats.sojourn_us[0] == 40.0,
-           "dequeue sojourn extracted");
-  t.Expect(stats.latency_us.size() == 1 && stats.latency_us[0] == 260.0,
-           "deliver latency extracted");
-  t.Expect(stats.codel_drops == 1 && stats.collisions == 1, "drop/collision tallies");
-  t.Expect(stats.tx_airtime_us[0] == 50.0 && stats.tx_airtime_us[1] == 150.0,
-           "per-station airtime summed");
-
-  TraceStats bad;
-  t.Expect(!ParseChromeTrace("{}", &bad, &error), "missing traceEvents rejected");
-  t.Expect(!ParseChromeTrace("not json", &bad, &error), "malformed trace rejected");
-
-  // --- Timeseries parsing + convergence ---
-  const std::string jsonl =
-      R"({"t_us":1000,"series":"airtime_jain","value":0.62,"run":"Airtime n=3 seed=1"})"
-      "\n"
-      R"({"t_us":2000,"series":"airtime_jain","value":0.97,"run":"Airtime n=3 seed=1"})"
-      "\n"
-      R"({"t_us":3000,"series":"airtime_jain","value":0.93,"run":"Airtime n=3 seed=1"})"
-      "\n"
-      R"({"t_us":4000,"series":"airtime_jain","value":0.98,"run":"Airtime n=3 seed=1"})"
-      "\n"
-      R"({"t_us":5000,"series":"airtime_jain","value":0.99,"run":"Airtime n=3 seed=1"})"
-      "\n"
-      R"({"t_us":1000,"series":"queue_depth_packets","value":12,"run":"Airtime n=3 seed=1"})"
-      "\n";
-  TimeseriesData data;
-  t.Expect(ParseTimeseriesJsonl(jsonl, &data, &error), "timeseries parses: " + error);
-  t.Expect(data.points == 6, "6 timeseries points");
-  t.Expect(data.series.size() == 2, "2 series");
-  // The 0.93 dip at t=3000 interrupts the run: convergence starts at 4000.
-  t.Expect(ConvergenceTimeUs(data, "airtime_jain", 0.95) == 4000,
-           "convergence skips the dip");
-  t.Expect(ConvergenceTimeUs(data, "airtime_jain", 0.50) == 1000,
-           "low threshold converges at the first sample");
-  t.Expect(ConvergenceTimeUs(data, "airtime_jain", 0.999) == -1,
-           "unreachable threshold reports no convergence");
-  t.Expect(ConvergenceTimeUs(data, "missing", 0.5) == -1,
-           "missing series reports no convergence");
-  TimeseriesData bad_data;
-  t.Expect(!ParseTimeseriesJsonl("{\"nope\":1}\n", &bad_data, &error),
-           "non-timeseries line rejected");
-
-  // --- Perturbation reconvergence ---
-  // Two marks: a leave at t=2500 (Jain dips to 0.70 then recovers from
-  // t=4500) and a join at t=6000 whose segment never recovers.
-  const std::string churn_jsonl =
-      R"({"t_us":1000,"series":"airtime_jain","value":0.98,"run":"churn"})"
-      "\n"
-      R"({"t_us":2000,"series":"airtime_jain","value":0.97,"run":"churn"})"
-      "\n"
-      R"({"t_us":2500,"series":"perturbation","value":1,"run":"churn"})"
-      "\n"
-      R"({"t_us":3000,"series":"airtime_jain","value":0.70,"run":"churn"})"
-      "\n"
-      R"({"t_us":3500,"series":"airtime_jain","value":0.80,"run":"churn"})"
-      "\n"
-      R"({"t_us":4500,"series":"airtime_jain","value":0.96,"run":"churn"})"
-      "\n"
-      R"({"t_us":5500,"series":"airtime_jain","value":0.99,"run":"churn"})"
-      "\n"
-      // A sample on the join instant itself: it sees the post-join roster
-      // (active-only Jain dips as the rejoined station starts at zero
-      // windowed airtime), so it must belong to neither segment.
-      R"({"t_us":6000,"series":"airtime_jain","value":0.50,"run":"churn"})"
-      "\n"
-      R"({"t_us":6000,"series":"perturbation","value":2,"run":"churn"})"
-      "\n"
-      R"({"t_us":7000,"series":"airtime_jain","value":0.97,"run":"churn"})"
-      "\n"
-      R"({"t_us":8000,"series":"airtime_jain","value":0.60,"run":"churn"})"
-      "\n";
-  TimeseriesData churn;
-  t.Expect(ParseTimeseriesJsonl(churn_jsonl, &churn, &error),
-           "churn timeseries parses: " + error);
-  const auto recon = PerturbationReconvergence(churn, "airtime_jain", 0.95);
-  t.Expect(recon.size() == 2, "two perturbation marks analyzed");
-  if (recon.size() == 2) {
-    t.Expect(recon[0].mark_us == 2500 && recon[0].kind_code == 1.0,
-             "first mark is the leave at t=2500");
-    t.Expect(recon[0].reconverged_at_us == 4500 && recon[0].reconvergence_us == 2000,
-             "leave segment reconverges at t=4500 (+2000us)");
-    t.Expect(recon[0].segment_samples == 4, "leave segment holds 4 samples");
-    t.Expect(recon[1].reconverged_at_us == -1 && recon[1].reconvergence_us == -1,
-             "join segment ending below threshold never reconverges");
-    t.Expect(recon[1].segment_samples == 2,
-             "non-recovery is diagnosed over a populated segment");
-  }
-  // A dip-free segment reconverges at its first in-segment sample, and the
-  // last mark's segment runs to the end of the series.
-  const auto easy = PerturbationReconvergence(churn, "airtime_jain", 0.65);
-  t.Expect(easy.size() == 2 && easy[0].reconvergence_us == 500,
-           "low threshold reconverges at the first post-mark sample");
-  t.Expect(PerturbationReconvergence(data, "airtime_jain", 0.95).empty(),
-           "no perturbation series yields no marks");
-  // A trailing mark with no samples after it: reconvergence is unmeasurable
-  // (segment_samples == 0), which must be reported distinctly from a
-  // populated segment that ends below the threshold.
-  const std::string tail_jsonl = churn_jsonl +
-      R"({"t_us":9000,"series":"perturbation","value":1,"run":"churn"})"
-      "\n";
-  TimeseriesData tail;
-  t.Expect(ParseTimeseriesJsonl(tail_jsonl, &tail, &error),
-           "tail-mark timeseries parses: " + error);
-  const auto tail_recon = PerturbationReconvergence(tail, "airtime_jain", 0.95);
-  t.Expect(tail_recon.size() == 3, "trailing mark analyzed");
-  if (tail_recon.size() == 3) {
-    t.Expect(tail_recon[2].segment_samples == 0 &&
-                 tail_recon[2].reconverged_at_us == -1,
-             "trailing mark has an empty segment and no reconvergence");
-    std::ostringstream report;
-    PrintPerturbationReport(tail, "airtime_jain", 0.95, report);
-    t.Expect(report.str().find("no reconvergence (no samples after mark)") !=
-                 std::string::npos,
-             "report distinguishes the empty-segment mark");
-  }
-
-  // --- Quantiles ---
-  t.Expect(SampleQuantile({1, 2, 3, 4, 5}, 0.5) == 3.0, "median of 1..5");
-  t.Expect(SampleQuantile({}, 0.5) == 0.0, "empty quantile is 0");
-  t.Expect(std::abs(SampleQuantile({10, 20}, 0.25) - 12.5) < 1e-9,
-           "interpolated quantile");
-
-  if (t.failures == 0) {
-    out << "trace_stats self-test: all checks passed\n";
-  }
-  return t.failures;
 }
 
 }  // namespace analyze

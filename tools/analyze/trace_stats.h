@@ -115,10 +115,6 @@ void PrintTimeseriesReport(const TimeseriesData& data, const std::string& series
 void PrintPerturbationReport(const TimeseriesData& data, const std::string& series_name,
                              double threshold, std::ostream& out);
 
-// Built-in self-test over synthetic artifacts (ctest trace_stats_selftest):
-// returns the number of failed expectations, printing each to `out`.
-int TraceStatsSelfTest(std::ostream& out);
-
 }  // namespace analyze
 }  // namespace airfair
 

@@ -4,7 +4,7 @@
 //   trace_stats [--trace chrome.json] [--timeseries points.jsonl]
 //               [--series NAME] [--jain-threshold X]
 //               [--require-convergence] [--perturbations]
-//               [--max-reconvergence-ms X] [--self-test]
+//               [--max-reconvergence-ms X]
 //
 // With --trace it prints the per-stage latency breakdown (queueing / air /
 // end-to-end), per-station airtime shares from the tx slices, and drop
@@ -21,7 +21,7 @@
 // any reconvergence exceeds X ms.
 //
 // Exit codes: 0 ok, 1 gate (--require-convergence / --max-reconvergence-ms)
-// unmet or self-test failure, 2 usage/parse error.
+// unmet, 2 usage/parse error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   bool require_convergence = false;
   bool perturbations = false;
   double max_reconvergence_ms = -1.0;  // < 0: report only, no gate.
-  bool self_test = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -64,14 +63,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-reconvergence-ms") {
       perturbations = true;
       max_reconvergence_ms = std::atof(next("--max-reconvergence-ms"));
-    } else if (arg == "--self-test") {
-      self_test = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: trace_stats [--trace chrome.json] [--timeseries points.jsonl]\n"
           "                   [--series NAME] [--jain-threshold X]\n"
           "                   [--require-convergence] [--perturbations]\n"
-          "                   [--max-reconvergence-ms X] [--self-test]\n");
+          "                   [--max-reconvergence-ms X]\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", arg.c_str());
@@ -79,9 +76,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (self_test) {
-    return airfair::analyze::TraceStatsSelfTest(std::cout) == 0 ? 0 : 1;
-  }
   if (trace_path.empty() && series_path.empty()) {
     std::fprintf(stderr, "nothing to do: pass --trace and/or --timeseries (see --help)\n");
     return 2;

@@ -76,7 +76,7 @@ STATUS=0
 # CMake build. Whole-tree by design — it finishes in milliseconds, and rules
 # like core-needs-test and audit-registration are cross-file anyway.
 AF_LINT=""
-for d in build build-asan build-audit build-tsan; do
+for d in build build-asan build-audit; do
   if [[ -x "$d/tools/analyze/airfair_lint" ]]; then AF_LINT="$d/tools/analyze/airfair_lint"; break; fi
 done
 if [[ -z "$AF_LINT" ]]; then
