@@ -168,8 +168,7 @@ class BenchReporter {
     const int64_t scheduled = delta("sim.events.scheduled");
     const int64_t detached = delta("sim.events.detached");
     const int64_t simulated_us = delta("sim.simulated_us");
-    const int64_t tokens_created = delta("sim.tokens.created");
-    const int64_t tokens_recycled = delta("sim.tokens.recycled");
+    const int64_t event_slots = delta("sim.event_slots");
     const int64_t pool_packets = delta("packets.pool.allocated");
     const int64_t pool_recycled = delta("packets.pool.recycled");
     const int64_t pool_chunks = delta("packets.pool.chunks");
@@ -202,15 +201,13 @@ class BenchReporter {
         "\"events_scheduled\":%lld,\"events_detached\":%lld,"
         "\"events_per_wall_sec\":%.0f,\"packets_pooled\":%lld,"
         "\"packets_pool_recycled\":%lld,\"packet_pool_chunks\":%lld,"
-        "\"packets_heap\":%lld,\"tokens_created\":%lld,"
-        "\"tokens_recycled\":%lld,\"reps\":%d}\n",
+        "\"packets_heap\":%lld,\"event_slots\":%lld,\"reps\":%d}\n",
         name_.c_str(), wall_seconds, simulated_seconds, ratio,
         static_cast<long long>(dispatched), static_cast<long long>(scheduled),
         static_cast<long long>(detached), events_per_sec,
         static_cast<long long>(pool_packets), static_cast<long long>(pool_recycled),
         static_cast<long long>(pool_chunks), static_cast<long long>(heap_packets),
-        static_cast<long long>(tokens_created),
-        static_cast<long long>(tokens_recycled), BenchRepetitions());
+        static_cast<long long>(event_slots), BenchRepetitions());
     std::fclose(f);
   }
 

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/aqm/codel.h"
@@ -142,10 +143,10 @@ void BM_SchedulerRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerRound)->Arg(3)->Arg(30)->Arg(300);
 
-// Event-loop schedule+dispatch cycle: the fire-and-forget path (PostAt, no
-// cancellation token) vs the handle-keeping path (ScheduleAt + recycled
-// token). Both should be allocation-free at steady state; the difference is
-// the token bookkeeping.
+// Event-loop schedule+dispatch cycle: the fire-and-forget path (PostAt) vs
+// the handle-keeping path (ScheduleAt, whose handle is a slot pointer and a
+// generation). Both reuse a free slot, so both are allocation-free at steady
+// state; the difference is building and storing the handle.
 void BM_EventLoopScheduleFire(benchmark::State& state) {
   const bool keep_handle = state.range(0) != 0;
   EventLoop loop;
@@ -164,6 +165,34 @@ void BM_EventLoopScheduleFire(benchmark::State& state) {
   state.SetLabel(keep_handle ? "handle" : "detached");
 }
 BENCHMARK(BM_EventLoopScheduleFire)->Arg(0)->Arg(1);
+
+// The RTO path (TcpSocket::ArmRto cancels and re-arms the retransmission
+// timer on every ACK): N live timers; each iteration cancels and re-arms one
+// of them and dispatches one detached event, the ACK. Timers are re-armed
+// 1 ms out and revisited every N us, so none fires and the queue holds the N
+// timers plus the ACK.
+void BM_EventLoopCancelRearm(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  EventLoop loop;
+  int64_t fired = 0;
+  std::vector<EventHandle> timers(n);
+  for (EventHandle& timer : timers) {
+    timer = loop.ScheduleAfter(TimeUs(1000), [&fired] { ++fired; });
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    EventHandle& timer = timers[next];
+    timer.Cancel();
+    timer = loop.ScheduleAfter(TimeUs(1000), [&fired] { ++fired; });
+    loop.PostAfter(TimeUs(1), [&fired] { ++fired; });
+    loop.RunOne();
+    next = next + 1 == n ? 0 : next + 1;
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(loop.pending_events()) + " pending");
+}
+BENCHMARK(BM_EventLoopCancelRearm)->Arg(16)->Arg(256);
 
 // Per-event cost of the tracing layer with a ring installed: current-buffer
 // load + 48-byte record write through the AF_TRACE_* macro (the same

@@ -56,7 +56,7 @@ enum class TraceEventType : uint16_t {
   kSchedPick,       // a0=deficit us at pick a1=picked from new list?1:0
   kSchedCharge,     // a0=airtime us     a1=deficit after us
   kSchedMove,       // a0=from list      a1=to list (TraceSchedList values)
-  kDispatch,        // a0=heap size after pop
+  kDispatch,        // a0=live events pending after pop
 };
 
 // Stable names for exporters and dumps ("enqueue", "tx_end", ...).
@@ -252,7 +252,7 @@ bool TraceEnabledByDefault();
   AF_TRACE_NOW(kSchedCharge, station, -1, airtime_us, deficit_after_us, 0)
 #define AF_TRACE_SCHED_MOVE(station, from_list, to_list) \
   AF_TRACE_NOW(kSchedMove, station, -1, from_list, to_list, 0)
-#define AF_TRACE_DISPATCH(t, heap_size) \
-  AF_TRACE_AT(t, kDispatch, -1, -1, heap_size, 0, 0)
+#define AF_TRACE_DISPATCH(t, pending) \
+  AF_TRACE_AT(t, kDispatch, -1, -1, pending, 0, 0)
 
 #endif  // AIRFAIR_SRC_OBS_TRACE_H_

@@ -343,11 +343,8 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
 }
 
 void Testbed::ScheduleSample() {
-  // Detached (fire-and-forget) rescheduling: the handle-keeping path mints
-  // a cancellation token per tick, which would be the sampler's only
-  // steady-state allocation (tests/perf_alloc_test.cc holds the traced
-  // testbed window to exactly the untraced window's count). The event dies
-  // with the loop, so no cancellation is needed at destruction.
+  // Detached (fire-and-forget) rescheduling: nothing ever cancels the
+  // sampler, and the event dies with the loop, so no handle is kept.
   sim_.PostAfter(kSampleInterval, [this] {
     SampleTimeseries();
     ScheduleSample();

@@ -1,35 +1,40 @@
 // Discrete-event simulation core.
 //
-// A binary-heap event queue keyed by (time, sequence number); the sequence
-// number makes same-time events fire in scheduling order, which keeps runs
-// deterministic. Events are arbitrary callables and can be cancelled through
-// the returned handle.
+// Events fire in (time, sequence number) order; the sequence number makes
+// same-time events fire in scheduling order, which keeps runs deterministic.
+// Events are arbitrary callables and can be cancelled through the returned
+// handle.
 //
-// The heap is an explicit std::vector managed with std::push_heap/pop_heap
-// (rather than std::priority_queue) so the invariant auditor can inspect it:
-// CheckInvariants verifies the heap property, that no pending event is in the
-// past, and that dispatch time is monotone.
+// Each scheduled event, detached or not, occupies an EventSlot from a slab
+// whose addresses never move. The queue is the indexed BacklogHeap of
+// src/util/backlog_heap.h over those slots, keyed on -when with the sequence
+// number as the tie, so it holds pointers to live events only:
+//  * a callable is moved once, into its slot, and runs there in place; it is
+//    destroyed and the slot freed right after it returns;
+//  * Cancel removes the slot from the heap in O(log n) through its position
+//    back-pointer, destroys the callable at once and frees the slot, so a
+//    cancelled timer never lingers in the queue;
+//  * free slots are linked through themselves, so steady-state scheduling,
+//    dispatch and cancellation allocate nothing (see DESIGN.md
+//    "Performance architecture").
 //
-// Hot-path allocation behaviour (see DESIGN.md "Performance architecture"):
-//  * Callables are stored in a move-only InlineFunction with 48 bytes of
-//    inline storage, so closures capturing a couple of pointers and a moved
-//    PacketPtr never touch the heap and never need copyable captures.
-//  * PostAt/PostAfter schedule *detached* (fire-and-forget) events with no
-//    cancellation token at all — the common case on the packet paths.
-//  * ScheduleAt/ScheduleAfter still return an EventHandle; the shared_ptr
-//    tokens backing the handles are recycled through a per-loop free list,
-//    so steady-state timer reschedules allocate nothing.
+// Callables are stored in a move-only InlineFunction with 48 bytes of inline
+// storage, so closures capturing a couple of pointers and a moved PacketPtr
+// never touch the heap. PostAt/PostAfter schedule *detached* events that
+// nobody can cancel, the common case on the packet paths.
+//
+// CheckInvariants verifies the heap structure, that no pending event is in
+// the past, and that dispatch time is monotone.
 
 #ifndef AIRFAIR_SRC_SIM_EVENT_LOOP_H_
 #define AIRFAIR_SRC_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <deque>
 #include <utility>
-#include <vector>
 
 #include "src/util/attributes.h"
+#include "src/util/backlog_heap.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
 #include "src/util/time.h"
@@ -41,35 +46,46 @@ namespace airfair {
 // couple of scalars); anything larger transparently falls back to the heap.
 using EventFn = InlineFunction<void(), 48>;
 
-// Cancellation token shared between the loop and at most one EventHandle.
-// Shared ownership is the point: the loop recycles a token into its pool
-// only once it holds the sole reference, so a live handle can never observe
-// a recycled token flip back to "pending".
-// airfair-lint: allow(hot-shared-ptr): pooled cancellation token; loop and handle share ownership by design
-using CancelToken = std::shared_ptr<bool>;
+class EventLoop;
+
+// One scheduled event. Owned by its EventLoop; public only so the heap and
+// EventHandle can name its members.
+struct EventSlot {
+  int64_t neg_when = 0;            // -dispatch time (us): the heap's max is the earliest.
+  HeapSlot heap;                   // Queue position (-1 when not queued); tie = seq.
+  uint32_t gen = 0;                // Bumped each time the slot is freed.
+  EventSlot* next_free = nullptr;  // Free-list link while the slot is unused.
+  EventFn fn;
+};
 
 // Cancellation handle for a scheduled event. Copyable; cancelling twice is
 // harmless. A default-constructed handle refers to nothing.
+//
+// Lifetime contract: a handle must not be used (not even pending() or
+// Cancel()) after its EventLoop is destroyed. Components that keep handles
+// are destroyed before the Simulation that owns the loop.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  // True while the event is still pending (not fired, not cancelled).
-  bool pending() const { return state_ && !*state_; }
-
-  // Prevents the event from firing. No-op if it already fired or was
-  // cancelled.
-  void Cancel() {
-    if (state_) {
-      *state_ = true;
-    }
+  // True while the event is still pending (not fired, not cancelled, not
+  // running). A handle to a freed slot reports false even once the slot
+  // carries a new event: the generation no longer matches.
+  bool pending() const {
+    return slot_ != nullptr && slot_->gen == gen_ && slot_->heap.pos >= 0;
   }
+
+  // Prevents the event from firing and destroys its callable. No-op if it
+  // already fired, is running, or was cancelled.
+  inline void Cancel();
 
  private:
   friend class EventLoop;
-  explicit EventHandle(CancelToken state) : state_(std::move(state)) {}
+  EventHandle(EventLoop* loop, EventSlot* slot) : loop_(loop), slot_(slot), gen_(slot->gen) {}
 
-  CancelToken state_;  // true = cancelled-or-fired
+  EventLoop* loop_ = nullptr;
+  EventSlot* slot_ = nullptr;
+  uint32_t gen_ = 0;
 };
 
 class EventLoop {
@@ -80,99 +96,93 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   // Publishes lifetime totals (events dispatched/scheduled, simulated time,
-  // token-recycling stats) into the named-counter registry for the bench
-  // harness. See util/stats.h.
+  // event slots) into the named-counter registry for the bench harness. See
+  // util/stats.h.
   ~EventLoop();
 
   TimeUs now() const { return now_; }
 
   // Schedules `fn` to run at absolute time `when` (>= now) and returns a
-  // cancellation handle. The handle's shared token comes from a free list,
-  // so steady-state use allocates nothing. AF_NODISCARD: dropping the
-  // handle makes the event uncancellable — use PostAt for that.
-  AF_NODISCARD EventHandle ScheduleAt(TimeUs when, EventFn fn);
+  // cancellation handle. AF_NODISCARD: dropping the handle makes the event
+  // uncancellable — use PostAt for that.
+  AF_NODISCARD EventHandle ScheduleAt(TimeUs when, EventFn fn) {
+    return EventHandle(this, Enqueue(when, std::move(fn)));
+  }
 
   // Schedules `fn` to run `delay` from now.
   AF_NODISCARD EventHandle ScheduleAfter(TimeUs delay, EventFn fn) {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // Fire-and-forget scheduling: no EventHandle, no cancellation token, no
-  // shared state at all. Use for the majority of events that nobody ever
-  // cancels (packet arrivals, transmission completions, one-shot kicks).
-  void PostAt(TimeUs when, EventFn fn);
+  // Fire-and-forget scheduling: no EventHandle. Use for the majority of
+  // events that nobody ever cancels (packet arrivals, transmission
+  // completions, one-shot kicks).
+  void PostAt(TimeUs when, EventFn fn) {
+    ++detached_events_;
+    Enqueue(when, std::move(fn));
+  }
   void PostAfter(TimeUs delay, EventFn fn) { PostAt(now_ + delay, std::move(fn)); }
 
   // Runs events until the queue is empty or simulated time would pass `end`.
   // The clock finishes at `end` (or earlier if the queue drains).
   void RunUntil(TimeUs end);
 
-  // Runs a single event if one is pending; returns false when the queue is
-  // empty. Mostly for tests.
+  // Runs the earliest pending event, if any; returns false (leaving the
+  // clock alone) when none is pending. Mostly for tests.
   bool RunOne();
 
-  size_t pending_events() const { return heap_.size(); }
+  // Live (scheduled, not yet fired or cancelled) events.
+  size_t pending_events() const { return queue_.size(); }
 
   // Dispatch time of the most recently fired event (Zero before any fire).
   TimeUs last_dispatched() const { return last_dispatched_; }
   int64_t dispatched_events() const { return dispatched_events_; }
   int64_t scheduled_events() const { return scheduled_events_; }
 
-  // Token free-list statistics, exposed for tests and the bench harness.
-  int64_t tokens_created() const { return tokens_created_; }
-  int64_t tokens_recycled() const { return tokens_recycled_; }
+  // Event slots the slab has created: the peak number of events that were
+  // pending or running at once. Read by the tests and perfbench.
+  int64_t tokens_created() const { return static_cast<int64_t>(slots_.size()); }
 
   // Verifies event-queue invariants, calling `fail` once per violation:
-  //  * the heap property holds over the pending-event array;
+  //  * the heap's position back-pointers and (when, seq) order hold;
   //  * no pending event is scheduled before `now()`;
   //  * sequence numbers are within the issued range (duplicates would break
   //    deterministic same-time ordering);
   //  * the dispatch clock never ran ahead of the loop clock.
-  // (Detached events legitimately carry no cancellation token, so a null
-  // token is *not* a violation.)
   // Returns the number of violations found. Read-only; safe to call from an
   // audit event while the loop runs.
   int CheckInvariants(AuditFailFn fail) const;
 
  private:
-  struct Event {
-    TimeUs when;
-    uint64_t seq;
-    EventFn fn;
-    CancelToken cancelled;  // nullptr for detached (Post*) events.
-  };
+  friend class EventHandle;
 
-  // Min-heap on (when, seq) via the std heap algorithms (which build a
-  // max-heap with respect to the comparator: invert).
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  // Removes and returns the earliest event.
-  Event PopTop();
-
-  // Token free list: AcquireToken reuses a previously released token when
-  // possible; ReleaseToken returns a token to the pool iff the loop holds
-  // the only reference (no live EventHandle still observes it).
-  CancelToken AcquireToken();
-  void ReleaseToken(CancelToken&& token);
+  // Takes a free slot (or grows the slab), stores `fn` in it and queues it.
+  EventSlot* Enqueue(TimeUs when, EventFn&& fn);
+  // Unqueues `slot`, advances the clock to it, runs its callable in place and
+  // frees the slot.
+  void Dispatch(EventSlot* slot);
+  // Unqueues a pending `slot` and frees it without running it.
+  void Cancel(EventSlot* slot);
+  // Destroys the callable, bumps the generation and links the slot into the
+  // free list.
+  void Free(EventSlot* slot);
 
   TimeUs now_ = TimeUs::Zero();
   TimeUs last_dispatched_ = TimeUs::Zero();
   int64_t dispatched_events_ = 0;
   int64_t scheduled_events_ = 0;
   int64_t detached_events_ = 0;
-  int64_t tokens_created_ = 0;
-  int64_t tokens_recycled_ = 0;
   uint64_t next_seq_ = 0;
-  std::vector<Event> heap_;
-  std::vector<CancelToken> token_pool_;
+  std::deque<EventSlot> slots_;  // Never shrinks; addresses are stable.
+  EventSlot* free_ = nullptr;
+  BacklogHeap<EventSlot, &EventSlot::neg_when, &EventSlot::heap> queue_;
 };
+
+inline void EventHandle::Cancel() {
+  if (pending()) {
+    loop_->Cancel(slot_);
+  }
+}
 
 }  // namespace airfair
 

@@ -37,8 +37,8 @@ class Simulation {
     return loop_.ScheduleAfter(delay, std::move(fn));
   }
 
-  // Fire-and-forget variants: no handle, no cancellation token, and (for
-  // closures within EventFn's inline buffer) no heap allocation at all.
+  // Fire-and-forget variants: no handle, and (for closures within EventFn's
+  // inline buffer) no heap allocation at all.
   void PostAt(TimeUs when, EventFn fn) { loop_.PostAt(when, std::move(fn)); }
   void PostAfter(TimeUs delay, EventFn fn) { loop_.PostAfter(delay, std::move(fn)); }
 

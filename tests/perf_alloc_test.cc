@@ -136,7 +136,7 @@ struct Repost {
 TEST(PerfAllocTest, DetachedEventSteadyStateIsAllocationFree) {
   EventLoop loop;
   std::int64_t fired = 0;
-  // Warmup: grow the event-heap vector to its steady capacity.
+  // Warmup: grow the slot slab and the heap array to their steady size.
   loop.PostAfter(TimeUs(10), Repost{&loop, &fired, 64});
   loop.RunUntil(TimeUs::FromSeconds(1));
   ASSERT_EQ(fired, 64);
@@ -149,8 +149,8 @@ TEST(PerfAllocTest, DetachedEventSteadyStateIsAllocationFree) {
       << "detached Post/dispatch cycle touched the heap";
 }
 
-// Self-rescheduling timer that keeps an EventHandle, exercising the
-// cancellation-token free list.
+// Self-rescheduling timer that keeps an EventHandle: each tick schedules
+// the next one while its own slot is still running.
 struct Tick {
   EventLoop* loop;
   EventHandle* handle;
@@ -164,28 +164,81 @@ struct Tick {
   }
 };
 
-TEST(PerfAllocTest, HandleTimerSteadyStateRecyclesTokens) {
+TEST(PerfAllocTest, HandleTimerSteadyStateReusesSlots) {
   EventLoop loop;
   EventHandle handle;
   std::int64_t fired = 0;
   int remaining = 10064;
   handle = loop.ScheduleAfter(TimeUs(10), Tick{&loop, &handle, &fired, &remaining});
-  // Warmup: the first fires of a timer chain mint the two tokens that then
-  // rotate through the free list. (Stopping and restarting a chain strands
-  // one token in the kept handle, so measure *inside* one continuous chain:
-  // the event fires every 10 us, so running to t=645 us dispatches 64.)
+  // Warmup: a timer chain needs two slots, the running tick's and the next
+  // tick's. The event fires every 10 us, so running to t=645 us dispatches 64.
   loop.RunUntil(TimeUs(645));
   ASSERT_EQ(fired, 64);
+  ASSERT_EQ(loop.tokens_created(), 2);
 
-  const std::int64_t tokens_created = loop.tokens_created();
+  // The window runs the chain to its end, last tick (which frees its slot
+  // and schedules nothing) included.
   const std::int64_t before = AllocationCount();
   loop.RunUntil(TimeUs::FromSeconds(10));
   EXPECT_EQ(fired, 10064);
   EXPECT_EQ(AllocationCount() - before, 0)
       << "handle-carrying timer reschedule touched the heap";
-  // Every reschedule reused a pooled token instead of minting a new one.
-  EXPECT_EQ(loop.tokens_created(), tokens_created);
-  EXPECT_GE(loop.tokens_recycled(), 10000);
+  EXPECT_EQ(loop.tokens_created(), 2) << "a reschedule created a slot instead of reusing one";
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_FALSE(handle.pending());
+}
+
+// The TCP RTO pattern (TcpSocket::ArmRto): every ACK cancels the
+// retransmission timer and arms it again, so the timers almost never fire.
+// Each ACK tick re-arms all of them.
+struct AckTick {
+  EventLoop* loop;
+  std::vector<EventHandle>* timers;
+  std::int64_t* timer_fires;
+  int remaining;
+  void operator()() {
+    for (EventHandle& timer : *timers) {
+      timer.Cancel();
+      timer = loop->ScheduleAfter(TimeUs(1000), [fires = timer_fires] { ++*fires; });
+    }
+    if (--remaining > 0) {
+      loop->PostAfter(TimeUs(10), AckTick{loop, timers, timer_fires, remaining});
+    }
+  }
+};
+
+TEST(PerfAllocTest, CancelledTimersLeaveTheQueueAtOnce) {
+  constexpr int kTicks = 10064;
+  EventLoop loop;
+  std::vector<EventHandle> timers(64);
+  std::int64_t timer_fires = 0;
+  loop.PostAfter(TimeUs(10), AckTick{&loop, &timers, &timer_fires, kTicks});
+  // Warmup: an ACK ticks every 10 us; 64 ticks grow the slab to 64 timers
+  // plus the running and the next ACK tick.
+  loop.RunUntil(TimeUs(645));
+  const std::int64_t slots = loop.tokens_created();
+  EXPECT_EQ(slots, 66);
+
+  // Between ticks the queue holds the 64 live timers and the next tick,
+  // never a cancelled timer. Counted, not EXPECTed, inside the window so
+  // that gtest does not allocate in it.
+  const std::int64_t before = AllocationCount();
+  int off_count = 0;
+  for (int tick = 65; tick < kTicks; ++tick) {
+    loop.RunUntil(TimeUs(10 * tick + 5));
+    if (loop.pending_events() != 65) {
+      ++off_count;
+    }
+  }
+  EXPECT_EQ(AllocationCount() - before, 0) << "cancel + re-arm touched the heap";
+  EXPECT_EQ(off_count, 0) << "pending_events() != 65 between some ticks";
+  EXPECT_EQ(loop.tokens_created(), slots);
+  EXPECT_EQ(timer_fires, 0);
+
+  // After the last ACK tick the timers run out and fire once each.
+  loop.RunUntil(TimeUs::FromSeconds(1));
+  EXPECT_EQ(timer_fires, 64);
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 // --- Observability-layer discipline (src/obs) ----------------------------

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulation.h"
+#include "src/util/rng.h"
 
 namespace airfair {
 namespace {
@@ -116,6 +123,222 @@ TEST(EventLoop, RunOneSkipsCancelled) {
   h.Cancel();
   EXPECT_TRUE(loop.RunOne());
   EXPECT_TRUE(ran);
+}
+
+TEST(EventLoop, StaleHandleDoesNotSeeOrCancelTheSlotsNextEvent) {
+  EventLoop loop;
+  EventHandle fired = loop.ScheduleAt(1_us, [] {});
+  loop.RunUntil(2_us);
+  EventHandle cancelled = loop.ScheduleAt(5_us, [] {});
+  cancelled.Cancel();
+  // Both freed slots are reused by the next two events.
+  int runs = 0;
+  EventHandle a = loop.ScheduleAt(10_us, [&] { ++runs; });
+  EventHandle b = loop.ScheduleAt(10_us, [&] { ++runs; });
+  EXPECT_EQ(loop.tokens_created(), 2);
+  EXPECT_FALSE(fired.pending());
+  EXPECT_FALSE(cancelled.pending());
+  fired.Cancel();
+  cancelled.Cancel();
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(b.pending());
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.RunUntil(20_us);
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(EventLoop, CancelDropsPendingEventsAtOnce) {
+  EventLoop loop;
+  EventHandle early = loop.ScheduleAt(10_us, [] {});
+  EventHandle late = loop.ScheduleAt(1_ms, [] {});
+  loop.PostAt(20_us, [] {});
+  EXPECT_EQ(loop.pending_events(), 3u);
+  late.Cancel();
+  EXPECT_EQ(loop.pending_events(), 2u);
+  early.Cancel();
+  EXPECT_EQ(loop.pending_events(), 1u);
+  late.Cancel();  // Twice is harmless.
+  EXPECT_EQ(loop.pending_events(), 1u);
+  EXPECT_EQ(loop.CheckInvariants([](const std::string& m) { ADD_FAILURE() << m; }), 0);
+}
+
+TEST(EventLoop, CancelOfTheRunningEventIsANoOp) {
+  EventLoop loop;
+  EventHandle self;
+  bool pending_inside = true;
+  int runs = 0;
+  self = loop.ScheduleAt(10_us, [&] {
+    ++runs;
+    pending_inside = self.pending();
+    self.Cancel();
+  });
+  (void)loop.ScheduleAt(10_us, [&] { ++runs; });
+  loop.RunUntil(20_us);
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(EventLoop, CallbackCancelsASameTimeSibling) {
+  EventLoop loop;
+  std::vector<int> order;
+  EventHandle sibling;
+  (void)loop.ScheduleAt(10_us, [&] {
+    order.push_back(1);
+    sibling.Cancel();
+  });
+  sibling = loop.ScheduleAt(10_us, [&] { order.push_back(2); });
+  loop.PostAt(10_us, [&] { order.push_back(3); });
+  loop.RunUntil(20_us);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_FALSE(sibling.pending());
+}
+
+TEST(EventLoop, CallbackThatGrowsTheSlabKeepsRunningInPlace) {
+  EventLoop loop;
+  int children = 0;
+  std::string seen;
+  // The captures live in the running slot. Were the callable moved while it
+  // runs (the slab relocating its slots), reading them after the growth
+  // would be a use-after-free.
+  (void)loop.ScheduleAt(1_us, [&loop, &children, &seen, tag = std::string(64, 'x')] {
+    for (int i = 0; i < 1000; ++i) {
+      loop.PostAt(2_us, [&children] { ++children; });
+    }
+    seen = tag;
+  });
+  loop.RunUntil(1_us);
+  EXPECT_EQ(seen, std::string(64, 'x'));
+  EXPECT_EQ(loop.tokens_created(), 1001);
+  EXPECT_EQ(loop.pending_events(), 1000u);
+  loop.RunUntil(2_us);
+  EXPECT_EQ(children, 1000);
+}
+
+// Seeded differential test: the loop against a std::set<(when, seq)> model
+// under a random mix of ScheduleAt, PostAt, Cancel, RunOne and RunUntil with
+// many same-time ties. Callbacks check they are the model's earliest event
+// and may themselves schedule or cancel. Handles stay held after their events
+// fire or are cancelled, so stale handles to reused slots are exercised too.
+class LoopModel {
+ public:
+  explicit LoopModel(uint64_t seed) : rng_(seed) {}
+
+  void Step() {
+    switch (rng_.NextBelow(8)) {
+      case 0:
+      case 1:
+      case 2:
+        Schedule();
+        break;
+      case 3:
+      case 4:
+        CancelRandom();
+        break;
+      case 5: {
+        const bool had_pending = !model_.empty();
+        const int64_t before = dispatched_;
+        EXPECT_EQ(loop_.RunOne(), had_pending);
+        EXPECT_EQ(dispatched_ - before, had_pending ? 1 : 0);
+        break;
+      }
+      default: {
+        const int64_t end = loop_.now().us() + kRunSpans[rng_.NextBelow(kRunSpans.size())];
+        loop_.RunUntil(TimeUs(end));
+        EXPECT_TRUE(model_.empty() || model_.begin()->first > end);
+        EXPECT_EQ(loop_.now().us(), end);
+        break;
+      }
+    }
+    Check();
+  }
+
+  int64_t dispatched() const { return dispatched_; }
+  int64_t cancelled() const { return cancelled_; }
+
+ private:
+  static constexpr std::array<int64_t, 8> kDelays = {0, 0, 0, 1, 3, 10, 100, 1000};
+  static constexpr std::array<int64_t, 4> kRunSpans = {0, 1, 5, 20};
+
+  struct Held {
+    EventHandle handle;
+    int64_t when;
+    uint64_t seq;
+  };
+
+  void Schedule() {
+    const int64_t when = loop_.now().us() + kDelays[rng_.NextBelow(kDelays.size())];
+    const uint64_t seq = next_seq_++;
+    model_.emplace(when, seq);
+    EventFn fn = [this, when, seq] { Fire(when, seq); };
+    if (rng_.Chance(0.3)) {
+      loop_.PostAt(TimeUs(when), std::move(fn));
+      return;
+    }
+    Held held{loop_.ScheduleAt(TimeUs(when), std::move(fn)), when, seq};
+    if (held_.size() < 64) {
+      held_.push_back(held);
+    } else {
+      held_[rng_.NextBelow(held_.size())] = held;
+    }
+  }
+
+  void CancelRandom() {
+    if (held_.empty()) {
+      return;
+    }
+    Held& held = held_[rng_.NextBelow(held_.size())];
+    held.handle.Cancel();
+    cancelled_ += static_cast<int64_t>(model_.erase({held.when, held.seq}));
+  }
+
+  void Fire(int64_t when, uint64_t seq) {
+    EXPECT_EQ(loop_.now().us(), when);
+    EXPECT_FALSE(model_.empty());
+    if (!model_.empty()) {
+      EXPECT_EQ(*model_.begin(), std::make_pair(when, seq)) << "dispatch order diverged";
+    }
+    model_.erase({when, seq});
+    ++dispatched_;
+    const uint64_t action = rng_.NextBelow(4);
+    if (action == 0) {
+      Schedule();
+    } else if (action == 1) {
+      CancelRandom();
+    }
+  }
+
+  void Check() {
+    ASSERT_EQ(loop_.pending_events(), model_.size());
+    for (const Held& held : held_) {
+      EXPECT_EQ(held.handle.pending(), model_.count({held.when, held.seq}) == 1)
+          << "handle of seq " << held.seq;
+    }
+    EXPECT_EQ(loop_.CheckInvariants([](const std::string& m) { ADD_FAILURE() << m; }), 0);
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::set<std::pair<int64_t, uint64_t>> model_;
+  uint64_t next_seq_ = 0;
+  std::vector<Held> held_;
+  int64_t dispatched_ = 0;
+  int64_t cancelled_ = 0;
+};
+
+TEST(EventLoop, MatchesAnOrderedSetModel) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    LoopModel model(seed);
+    for (int op = 0; op < 20000; ++op) {
+      model.Step();
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at op " << op;
+      }
+    }
+    ASSERT_GT(model.dispatched(), 5000);
+    ASSERT_GT(model.cancelled(), 300);
+  }
 }
 
 TEST(Simulation, RunForAdvancesRelativeToNow) {
