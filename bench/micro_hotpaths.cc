@@ -8,7 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aqm/codel.h"
@@ -106,24 +108,43 @@ void BM_FqCodelOverflowDrop(benchmark::State& state) {
 }
 BENCHMARK(BM_FqCodelOverflowDrop)->Arg(64)->Arg(1024);
 
+// One CoDel step over a FIFO, pulled through CoDelState as FQ-CoDel and
+// MacQueues pull their flow queues.
 void BM_CodelDequeue(benchmark::State& state) {
   TimeUs now;
-  CoDelQdisc qdisc([&now] { return now; }, CoDelParams::Default(), 100000);
+  std::deque<PacketPtr> queue;
+  CoDelState codel;
+  const CoDelParams params = CoDelParams::Default();
   for (auto _ : state) {
     now += TimeUs(100);
-    qdisc.Enqueue(MakePacket());
-    benchmark::DoNotOptimize(qdisc.Dequeue());
+    PacketPtr packet = MakePacket();
+    packet->enqueued = now;
+    queue.push_back(std::move(packet));
+    benchmark::DoNotOptimize(codel.Dequeue(
+        now, params,
+        [&queue]() -> PacketPtr {
+          if (queue.empty()) {
+            return nullptr;
+          }
+          PacketPtr head = std::move(queue.front());
+          queue.pop_front();
+          return head;
+        },
+        [](PacketPtr) {}));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CodelDequeue);
 
+// Eq. (2) on an n-MPDU A-MPDU plus its block ack, as BuildAggregate
+// charges a transmission.
 void BM_AirtimeComputation(benchmark::State& state) {
   const PhyRate rate = FastStationRate();
+  const int64_t mpdu_bytes = PaddedMpduBytes(1500);
   int n = 1;
   for (auto _ : state) {
     n = n % 32 + 1;
-    benchmark::DoNotOptimize(TransmissionAirtime(n, 1500, rate, true));
+    benchmark::DoNotOptimize(AmpduDataDuration(n * mpdu_bytes, rate) + BlockAckDuration(rate));
   }
 }
 BENCHMARK(BM_AirtimeComputation);

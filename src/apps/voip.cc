@@ -6,6 +6,13 @@
 
 namespace airfair {
 
+namespace {
+// G.711 at 64 kbit/s: 160 bytes of audio per 20 ms frame, plus 40 bytes of
+// RTP/UDP/IP headers.
+constexpr TimeUs kFrameInterval = TimeUs::FromMilliseconds(20);
+constexpr int32_t kVoipPacketBytes = 200;
+}  // namespace
+
 VoipSource::VoipSource(Host* host, uint32_t dst_node, uint16_t dst_port, const Config& config)
     : host_(host), config_(config) {
   flow_ = FlowKey{host->node_id(), dst_node, host->AllocatePort(), dst_port, /*protocol=*/17};
@@ -28,14 +35,14 @@ void VoipSource::SendNext() {
   if (!running_) {
     return;
   }
-  auto packet = host_->NewPacket();
-  packet->size_bytes = config_.packet_bytes;
+  PacketPtr packet = host_->NewPacket();
+  packet->size_bytes = kVoipPacketBytes;
   packet->type = PacketType::kUdp;
   packet->flow = flow_;
   packet->tid = config_.tid;
   packet->flow_seq = sent_++;
   host_->Send(std::move(packet));
-  pending_ = host_->sim()->After(config_.frame_interval, [this] { SendNext(); });
+  pending_ = host_->sim()->After(kFrameInterval, [this] { SendNext(); });
 }
 
 VoipSink::VoipSink(Host* host, uint16_t port) : host_(host), port_(port) {

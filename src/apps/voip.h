@@ -20,8 +20,6 @@ class VoipSink;
 class VoipSource {
  public:
   struct Config {
-    TimeUs frame_interval = TimeUs::FromMilliseconds(20);
-    int32_t packet_bytes = 200;
     Tid tid = kBestEffortTid;  // kVoiceTid for the VO-marked variant.
   };
 

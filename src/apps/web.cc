@@ -13,8 +13,8 @@ bool WebServer::FlowKeyLess::operator()(const FlowKey& a, const FlowKey& b) cons
          std::tie(b.src_node, b.dst_node, b.src_port, b.dst_port, b.protocol);
 }
 
-WebServer::WebServer(Host* host, uint16_t port, const TcpConfig& tcp)
-    : host_(host), listener_(host, port, tcp) {
+WebServer::WebServer(Host* host, uint16_t port)
+    : host_(host), listener_(host, port, TcpConfig()) {
   listener_.on_accept = [this](TcpSocket* socket) { OnAccept(socket); };
 }
 
@@ -47,13 +47,11 @@ void WebServer::PushResponseSize(const FlowKey& client_flow, int64_t bytes) {
   conns_[client_flow].response_sizes.push_back(bytes);
 }
 
-WebClient::WebClient(Host* host, uint32_t server_node, uint16_t server_port, WebServer* server,
-                     const TcpConfig& tcp)
+WebClient::WebClient(Host* host, uint32_t server_node, uint16_t server_port, WebServer* server)
     : host_(host),
       server_node_(server_node),
       server_port_(server_port),
       server_(server),
-      tcp_(tcp),
       dns_port_(host->AllocatePort()) {
   host_->BindPort(dns_port_, this);
 }
@@ -71,7 +69,7 @@ void WebClient::Fetch(const WebPage& page, std::function<void(TimeUs)> done) {
   conns_.resize(kParallelConnections);
 
   // Step 1: DNS lookup (modelled as one small request/response exchange).
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->size_bytes = kDnsPacketBytes;
   packet->type = PacketType::kIcmpEchoRequest;
   packet->flow = FlowKey{host_->node_id(), server_node_, dns_port_, 0, /*protocol=*/1};
@@ -92,7 +90,7 @@ void WebClient::OnDnsDone() {
 
 void WebClient::OpenConnection(int index) {
   Conn& conn = conns_[static_cast<size_t>(index)];
-  conn.socket = std::make_unique<TcpSocket>(host_, tcp_);
+  conn.socket = std::make_unique<TcpSocket>(host_, TcpConfig());
   conn.socket->on_connected = [this, index] { IssueNext(index); };
   conn.socket->on_data = [this, index](int64_t bytes) { OnData(index, bytes); };
   conn.socket->Connect(server_node_, server_port_);

@@ -41,7 +41,7 @@ class WebServer {
  public:
   static constexpr int kRequestBytes = 300;
 
-  WebServer(Host* host, uint16_t port, const TcpConfig& tcp = TcpConfig());
+  WebServer(Host* host, uint16_t port);
 
   // Simulation-side metadata: the response size for the next request that
   // will arrive on `client_flow` (the client socket's outbound flow).
@@ -72,8 +72,7 @@ class WebClient : public PacketEndpoint {
   static constexpr int kParallelConnections = 4;
   static constexpr int32_t kDnsPacketBytes = 84;
 
-  WebClient(Host* host, uint32_t server_node, uint16_t server_port, WebServer* server,
-            const TcpConfig& tcp = TcpConfig());
+  WebClient(Host* host, uint32_t server_node, uint16_t server_port, WebServer* server);
   ~WebClient() override;
 
   // Fetches `page`; invokes `done` with the page-load time. One fetch at a
@@ -99,7 +98,6 @@ class WebClient : public PacketEndpoint {
   uint32_t server_node_;
   uint16_t server_port_;
   WebServer* server_;
-  TcpConfig tcp_;
   uint16_t dns_port_;
 
   WebPage page_;

@@ -1,6 +1,7 @@
 #include "src/aqm/codel.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -114,41 +115,6 @@ int CoDelState::CheckValid(AuditFailFn fail) const {
     report("cumulative drop counter is negative");
   }
   return violations;
-}
-
-void CoDelState::Reset() {
-  first_above_time_ = TimeUs::Zero();
-  drop_next_ = TimeUs::Zero();
-  count_ = 0;
-  lastcount_ = 0;
-  dropping_ = false;
-}
-
-CoDelQdisc::CoDelQdisc(InlineFunction<TimeUs()> clock, const CoDelParams& params,
-                       int limit_packets)
-    : clock_(std::move(clock)), params_(params), limit_(limit_packets) {}
-
-void CoDelQdisc::Enqueue(PacketPtr packet) {
-  if (static_cast<int>(queue_.size()) >= limit_) {
-    ++drops_;
-    return;
-  }
-  packet->enqueued = clock_();
-  queue_.push_back(std::move(packet));
-}
-
-PacketPtr CoDelQdisc::Dequeue() {
-  return state_.Dequeue(
-      clock_(), params_,
-      [this]() -> PacketPtr {
-        if (queue_.empty()) {
-          return nullptr;
-        }
-        PacketPtr p = std::move(queue_.front());
-        queue_.pop_front();
-        return p;
-      },
-      [this](PacketPtr) { ++drops_; });
 }
 
 }  // namespace airfair

@@ -3,7 +3,8 @@
 // CoDelState holds the per-queue controller state and runs the control law
 // against any backing queue, supplied as a pull callback. This is the shape
 // the algorithm takes inside FQ-CoDel and inside the paper's per-TID MAC
-// queues: one CoDelState per flow queue, applied at dequeue time.
+// queues: one CoDelState per flow queue, applied at dequeue time. There is
+// no standalone CoDel qdisc; no scheme of the evaluation runs one.
 //
 // The parameters are a separate struct because the paper's Section 3.1.1
 // adapts them *per station*: target 50 ms / interval 300 ms when the
@@ -13,13 +14,9 @@
 #define AIRFAIR_SRC_AQM_CODEL_H_
 
 #include <cstdint>
-#include <deque>
-#include <string>
 
-#include "src/aqm/queue_discipline.h"
 #include "src/net/packet.h"
 #include "src/util/function_ref.h"
-#include "src/util/inline_function.h"
 #include "src/util/time.h"
 
 namespace airfair {
@@ -52,8 +49,6 @@ class CoDelState {
 
   int64_t drop_count() const { return drop_count_; }
   bool dropping() const { return dropping_; }
-
-  void Reset();
 
   // State-machine validity audit (see src/sim/audit.h). Verifies the
   // invariants the control law maintains:
@@ -89,27 +84,6 @@ class CoDelState {
   uint32_t lastcount_ = 0;
   bool dropping_ = false;
   int64_t drop_count_ = 0;
-};
-
-// A single CoDel-managed FIFO as a standalone qdisc (the classic `codel`
-// qdisc; used in tests and as a building block).
-class CoDelQdisc : public Qdisc {
- public:
-  // `clock` supplies the current time at enqueue/dequeue.
-  CoDelQdisc(InlineFunction<TimeUs()> clock, const CoDelParams& params, int limit_packets = 1000);
-
-  void Enqueue(PacketPtr packet) override;
-  PacketPtr Dequeue() override;
-  int packet_count() const override { return static_cast<int>(queue_.size()); }
-
-  const CoDelState& state() const { return state_; }
-
- private:
-  InlineFunction<TimeUs()> clock_;
-  CoDelParams params_;
-  int limit_;
-  std::deque<PacketPtr> queue_;
-  CoDelState state_;
 };
 
 }  // namespace airfair

@@ -105,8 +105,9 @@ PacketPtr FqCodelQdisc::Dequeue() {
       old_flows_.MoveToBack(q);
       continue;
     }
+    // Every flow queue runs CoDel's RFC 8289 defaults (5 ms / 100 ms).
     PacketPtr packet = q->codel.Dequeue(
-        now, config_.codel,
+        now, CoDelParams::Default(),
         [this, q]() { return PullHead(*q); },
         [this, now](const PacketPtr& victim) {
           ++codel_drops_;

@@ -32,7 +32,6 @@ struct FqCodelConfig {
   int flows = 1024;
   int limit_packets = 10240;
   int quantum_bytes = 1514;
-  CoDelParams codel;
 };
 
 class FqCodelQdisc : public Qdisc {

@@ -5,11 +5,15 @@
 
 namespace airfair {
 
-CodelAdaptation::CodelAdaptation(InlineFunction<TimeUs()> clock, const Config& config)
-    : clock_(std::move(clock)), config_(config) {}
+namespace {
+// Section 3.1.1: stations whose expected rate is below 12 Mbit/s get the
+// low-rate CoDel parameters, and a station's parameters change at most once
+// every two seconds.
+constexpr double kThresholdBps = 12e6;
+constexpr TimeUs kHysteresis = TimeUs::FromSeconds(2);
+}  // namespace
 
-CodelAdaptation::CodelAdaptation(InlineFunction<TimeUs()> clock)
-    : CodelAdaptation(std::move(clock), Config()) {}
+CodelAdaptation::CodelAdaptation(InlineFunction<TimeUs()> clock) : clock_(std::move(clock)) {}
 
 void CodelAdaptation::UpdateExpectedThroughput(StationId station, double bps) {
   if (station < 0) {
@@ -19,7 +23,7 @@ void CodelAdaptation::UpdateExpectedThroughput(StationId station, double bps) {
     states_.resize(static_cast<size_t>(station) + 1);
   }
   State& state = states_[static_cast<size_t>(station)];
-  const bool want_low = bps < config_.threshold_bps;
+  const bool want_low = bps < kThresholdBps;
   const TimeUs now = clock_();
   if (!state.initialized) {
     // First estimate applies immediately; the hysteresis clock starts now.
@@ -32,7 +36,7 @@ void CodelAdaptation::UpdateExpectedThroughput(StationId station, double bps) {
   if (want_low == state.low_rate) {
     return;
   }
-  if (now - state.last_change < config_.hysteresis) {
+  if (now - state.last_change < kHysteresis) {
     return;  // Within the hysteresis window: hold the current setting.
   }
   min_change_gap_ = std::min(min_change_gap_, now - state.last_change);
@@ -44,9 +48,9 @@ void CodelAdaptation::UpdateExpectedThroughput(StationId station, double bps) {
 
 CoDelParams CodelAdaptation::ParamsFor(StationId station) const {
   if (IsLowRate(station)) {
-    return config_.low_rate;
+    return CoDelParams::LowRate();
   }
-  return config_.normal;
+  return CoDelParams::Default();
 }
 
 bool CodelAdaptation::IsLowRate(StationId station) const {
@@ -73,10 +77,10 @@ int CodelAdaptation::CheckInvariants(AuditFailFn fail) const {
 
   // Hysteresis: switches observed closer together than the window mean the
   // 2 s rule regressed.
-  if (change_count_ > 0 && min_change_gap_ < config_.hysteresis) {
+  if (change_count_ > 0 && min_change_gap_ < kHysteresis) {
     std::ostringstream os;
     os << "hysteresis violated: two parameter switches only " << min_change_gap_.us()
-       << "us apart (window " << config_.hysteresis.us() << "us)";
+       << "us apart (window " << kHysteresis.us() << "us)";
     report(os.str());
   }
 
@@ -92,19 +96,19 @@ int CodelAdaptation::CheckInvariants(AuditFailFn fail) const {
     }
     // Low-rate params are only held when the deciding estimate was below the
     // threshold (and symmetrically for the normal set).
-    const bool decided_low = state.decided_bps < config_.threshold_bps;
+    const bool decided_low = state.decided_bps < kThresholdBps;
     if (state.low_rate != decided_low) {
       std::ostringstream os;
       os << "station " << sid << " parameter set disagrees with its deciding estimate ("
-         << state.decided_bps << " bps vs threshold " << config_.threshold_bps << " bps)";
+         << state.decided_bps << " bps vs threshold " << kThresholdBps << " bps)";
       report(os.str());
     }
-    // ParamsFor must resolve to exactly one of the two configured sets.
+    // ParamsFor must resolve to exactly one of the two parameter sets.
     const CoDelParams params = ParamsFor(static_cast<StationId>(sid));
-    const CoDelParams& expected = state.low_rate ? config_.low_rate : config_.normal;
+    const CoDelParams expected = state.low_rate ? CoDelParams::LowRate() : CoDelParams::Default();
     if (!SameParams(params, expected)) {
       std::ostringstream os;
-      os << "station " << sid << " resolves to params outside the configured sets";
+      os << "station " << sid << " resolves to params outside the two sets";
       report(os.str());
     }
   }
@@ -118,7 +122,7 @@ void CodelAdaptation::CorruptLowRateStateForTesting(StationId station) {
   State& state = states_[static_cast<size_t>(station)];
   state.initialized = true;
   state.low_rate = true;
-  state.decided_bps = config_.threshold_bps * 10;  // Contradicts low_rate.
+  state.decided_bps = kThresholdBps * 10;  // Contradicts low_rate.
 }
 
 }  // namespace airfair

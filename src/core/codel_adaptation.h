@@ -26,21 +26,15 @@ namespace airfair {
 
 class CodelAdaptation {
  public:
-  struct Config {
-    double threshold_bps = 12e6;
-    TimeUs hysteresis = TimeUs::FromSeconds(2);
-    CoDelParams normal = CoDelParams::Default();   // target 5 ms / interval 100 ms
-    CoDelParams low_rate = CoDelParams::LowRate(); // target 50 ms / interval 300 ms
-  };
-
-  CodelAdaptation(InlineFunction<TimeUs()> clock, const Config& config);
   explicit CodelAdaptation(InlineFunction<TimeUs()> clock);
 
   // Feeds the rate-selection throughput estimate for `station`. Parameter
   // switches obey the hysteresis window.
   void UpdateExpectedThroughput(StationId station, double bps);
 
-  // Current parameters for `station` (normal for unknown stations).
+  // Current parameters for `station`: CoDelParams::LowRate() (target 50 ms,
+  // interval 300 ms) for low-rate stations, CoDelParams::Default() (5 ms /
+  // 100 ms) otherwise, including unknown stations.
   CoDelParams ParamsFor(StationId station) const;
 
   bool IsLowRate(StationId station) const;
@@ -51,12 +45,12 @@ class CodelAdaptation {
   // Invariant audit (see src/sim/audit.h). Verifies, calling `fail` once per
   // violation and returning the violation count:
   //  * hysteresis: no two parameter switches for a station ever happened
-  //    closer together than the configured window (2 s by default) — the
-  //    smallest observed gap is tracked at switch time;
-  //  * the low-rate parameter set (50 ms / 300 ms by default) is only held
-  //    by stations whose deciding throughput estimate was below the
-  //    threshold (12 Mbit/s by default), and vice versa;
-  //  * ParamsFor resolves to exactly one of the two configured sets.
+  //    closer together than the 2 s window — the smallest observed gap is
+  //    tracked at switch time;
+  //  * the low-rate parameter set (50 ms / 300 ms) is only held by stations
+  //    whose deciding throughput estimate was below the 12 Mbit/s
+  //    threshold, and vice versa;
+  //  * ParamsFor resolves to exactly one of the two parameter sets.
   int CheckInvariants(AuditFailFn fail) const;
 
   // Test-only corruption hooks for tests/sim_audit_test.cc.
@@ -76,7 +70,6 @@ class CodelAdaptation {
   };
 
   InlineFunction<TimeUs()> clock_;
-  Config config_;
   std::vector<State> states_;
   // Smallest gap ever observed between two parameter switches of one
   // station; TimeUs::Max() until the first post-init switch.

@@ -21,9 +21,9 @@ MacQueueBackend::MacQueueBackend(Simulation* sim, const StationTable* stations,
       stations_(stations),
       ap_node_id_(ap_node_id),
       config_(config),
-      queues_([sim] { return sim->now(); }, config.queues),
+      queues_([sim] { return sim->now(); }, MacQueues::Config()),
       scheduler_(config.scheduler),
-      adaptation_([sim] { return sim->now(); }, config.adaptation) {
+      adaptation_([sim] { return sim->now(); }) {
   if (config_.codel_adaptation) {
     queues_.set_codel_params_provider(
         [this](StationId station) { return adaptation_.ParamsFor(station); });

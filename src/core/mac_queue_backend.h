@@ -28,12 +28,11 @@ namespace airfair {
 
 class MacQueueBackend : public ApQueueBackend {
  public:
+  // The MAC queues always run mac80211's defaults (MacQueues::Config()).
   struct Config {
-    MacQueues::Config queues;
     bool airtime_fairness = false;
     AirtimeScheduler::Config scheduler;
     bool codel_adaptation = true;
-    CodelAdaptation::Config adaptation;
     // Charge received airtime to station deficits (the paper's improvement
     // #2; disabling it is an ablation).
     bool rx_airtime_accounting = true;

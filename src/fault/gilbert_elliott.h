@@ -1,12 +1,11 @@
 // Seeded Gilbert-Elliott two-state burst-loss chain.
 //
-// The channel alternates between a good state (loss probability p_good,
-// default 0) and a bad state (loss probability p_bad), with exponentially
-// distributed dwell times. This is the classic bursty-loss model layered on
-// top of the medium's per-station error model by the fault injector: unlike
-// independent per-MPDU errors, consecutive losses cluster, which is what
-// exercises the retry/reorder/block-ack machinery and the schedulers'
-// recovery behaviour.
+// The channel alternates between a good state (no loss) and a bad state
+// (loss probability p_bad), with exponentially distributed dwell times. This
+// is the classic bursty-loss model layered on top of the medium's
+// per-station error model by the fault injector: unlike independent
+// per-MPDU errors, consecutive losses cluster, which is what exercises the
+// retry/reorder/block-ack machinery and the schedulers' recovery behaviour.
 //
 // Determinism: the state trajectory is a pure function of the seed. Dwell
 // times are drawn lazily from a dedicated RNG, in trajectory order only —
@@ -29,7 +28,6 @@ class GilbertElliottChain {
   struct Config {
     TimeUs mean_good = TimeUs::FromMilliseconds(200);
     TimeUs mean_bad = TimeUs::FromMilliseconds(20);
-    double p_good = 0.0;
     double p_bad = 0.5;
   };
 
@@ -39,8 +37,8 @@ class GilbertElliottChain {
   // The chain starts in the good state at t = 0.
   bool BadAt(TimeUs t);
 
-  // Loss probability at time `t` (p_good or p_bad by state).
-  double LossAt(TimeUs t) { return BadAt(t) ? config_.p_bad : config_.p_good; }
+  // Loss probability at time `t` (0 in the good state, p_bad in the bad).
+  double LossAt(TimeUs t) { return BadAt(t) ? config_.p_bad : 0.0; }
 
   // Number of state flips materialised so far (diagnostics/tests).
   size_t transitions() const { return flips_.size(); }

@@ -1,7 +1,6 @@
 #include "src/mac/aggregation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "src/mac/airtime.h"
@@ -9,21 +8,6 @@
 #include "src/obs/trace.h"
 
 namespace airfair {
-
-namespace {
-
-// Padded on-air bytes of one MPDU inside an A-MPDU (Eq. (1) per-packet term).
-int64_t PaddedMpduBytes(int packet_bytes) {
-  const int raw = packet_bytes + kMpduDelimiterBytes + kMacHeaderBytes + kFcsBytes;
-  return (raw + 3) / 4 * 4;
-}
-
-TimeUs DataDurationForBytes(int64_t ampdu_bytes, const PhyRate& rate) {
-  const double seconds = 8.0 * static_cast<double>(ampdu_bytes) / rate.bps;
-  return kPhyHeader + TimeUs(static_cast<int64_t>(std::llround(seconds * 1e6)));
-}
-
-}  // namespace
 
 bool AggregationAllowed(AccessCategory ac, const PhyRate& rate) {
   return rate.ht && ac != AccessCategory::kVoice;
@@ -66,7 +50,7 @@ TxDescriptor BuildAggregate(uint32_t src_node, uint32_t dst_node, StationId stat
       break;
     }
     const int64_t projected = ampdu_bytes + PaddedMpduBytes(next);
-    if (tx.frame_count() > 0 && DataDurationForBytes(projected, rate) > kMaxAmpduDuration) {
+    if (tx.frame_count() > 0 && AmpduDataDuration(projected, rate) > kMaxAmpduDuration) {
       break;  // Would exceed the TXOP duration cap.
     }
     Mpdu mpdu = source.pop();
@@ -79,7 +63,7 @@ TxDescriptor BuildAggregate(uint32_t src_node, uint32_t dst_node, StationId stat
   if (tx.empty()) {
     return tx;
   }
-  tx.duration = DataDurationForBytes(ampdu_bytes, rate) + BlockAckDuration(rate);
+  tx.duration = AmpduDataDuration(ampdu_bytes, rate) + BlockAckDuration(rate);
   AF_TRACE_AGGREGATE(station, tid, tx.frame_count(), tx.duration.us(), ampdu_bytes);
   return tx;
 }

@@ -1,21 +1,22 @@
 #include "src/mac/airtime.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/mac/wifi_constants.h"
 
 namespace airfair {
 
-double AmpduSizeBytes(double n_packets, int packet_bytes) {
-  const int per_mpdu_raw = packet_bytes + kMpduDelimiterBytes + kMacHeaderBytes + kFcsBytes;
-  const int padded = (per_mpdu_raw + 3) / 4 * 4;  // L_pad: round up to 4 bytes.
-  return n_packets * static_cast<double>(padded);
+int64_t PaddedMpduBytes(int packet_bytes) {
+  const int raw = packet_bytes + kMpduDelimiterBytes + kMacHeaderBytes + kFcsBytes;
+  return (raw + 3) / 4 * 4;  // L_pad: round up to 4 bytes.
 }
 
-TimeUs AmpduDataDuration(double n_packets, int packet_bytes, const PhyRate& rate) {
-  const double bits = 8.0 * AmpduSizeBytes(n_packets, packet_bytes);
-  const double seconds = bits / rate.bps;
+double AmpduSizeBytes(double n_packets, int packet_bytes) {
+  return n_packets * static_cast<double>(PaddedMpduBytes(packet_bytes));
+}
+
+TimeUs AmpduDataDuration(int64_t ampdu_bytes, const PhyRate& rate) {
+  const double seconds = 8.0 * static_cast<double>(ampdu_bytes) / rate.bps;
   return kPhyHeader + TimeUs(static_cast<int64_t>(std::llround(seconds * 1e6)));
 }
 
@@ -33,24 +34,6 @@ TimeUs SingleMpduDuration(int packet_bytes, const PhyRate& rate) {
   const double bits = 8.0 * (packet_bytes + kMacHeaderBytes + kFcsBytes);
   const double seconds = bits / rate.bps;
   return kPhyHeader + TimeUs(static_cast<int64_t>(std::llround(seconds * 1e6)));
-}
-
-TimeUs TransmissionAirtime(int n_packets, int packet_bytes, const PhyRate& rate,
-                           bool aggregated) {
-  if (aggregated) {
-    return AmpduDataDuration(n_packets, packet_bytes, rate) + BlockAckDuration(rate);
-  }
-  return SingleMpduDuration(packet_bytes, rate) + LegacyAckDuration();
-}
-
-int MaxMpdusForDuration(int packet_bytes, const PhyRate& rate, TimeUs max_duration,
-                        int max_frames) {
-  int n = 1;
-  while (n < max_frames &&
-         AmpduDataDuration(n + 1, packet_bytes, rate) <= max_duration) {
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace airfair

@@ -1,12 +1,12 @@
 // Airtime calculator: transmission durations per the paper's Eqs. (1)-(3).
 //
-// Used in three places:
-//   1. by the medium, to advance simulated time for each transmission
-//      (the "capture-based" ground truth);
-//   2. by the airtime-fairness scheduler, to charge station deficits
-//      (the "in-kernel" estimate — same formulas, so the two agree, which
-//      the paper's third party verified to within 1.5%);
-//   3. by the analytical model in src/model to produce Table 1.
+// BuildAggregate (src/mac/aggregation.cc) prices every transmission with
+// these functions and stores the result in TxDescriptor::duration. That one
+// duration is what the medium holds the air for (the "capture-based" ground
+// truth) and what the AP charges to the station's airtime deficit (the
+// "in-kernel" estimate), so the two agree, as the paper's third party
+// verified to within 1.5%. The analytical model in src/model builds Table 1
+// on AmpduSizeBytes, with Eq. (2) in unrounded real numbers.
 
 #ifndef AIRFAIR_SRC_MAC_AIRTIME_H_
 #define AIRFAIR_SRC_MAC_AIRTIME_H_
@@ -18,13 +18,17 @@
 
 namespace airfair {
 
-// Eq. (1): size in bytes of an n-MPDU A-MPDU with l-byte packets,
-// including per-MPDU delimiter, MAC header, FCS and padding to 4 bytes.
+// Eq. (1), per-MPDU term: on-air bytes of one `packet_bytes` packet inside
+// an A-MPDU, with its delimiter, MAC header and FCS, padded to 4 bytes.
+int64_t PaddedMpduBytes(int packet_bytes);
+
+// Eq. (1): size in bytes of an n-MPDU A-MPDU with l-byte packets.
 // Callable with fractional n for the analytical model.
 double AmpduSizeBytes(double n_packets, int packet_bytes);
 
-// Eq. (2): time on the air for the data portion (PHY header + payload).
-TimeUs AmpduDataDuration(double n_packets, int packet_bytes, const PhyRate& rate);
+// Eq. (2): time on the air for the data portion (PHY header + payload) of an
+// A-MPDU of `ampdu_bytes` (a sum of PaddedMpduBytes), to the microsecond.
+TimeUs AmpduDataDuration(int64_t ampdu_bytes, const PhyRate& rate);
 
 // Block-ack duration as modelled in the paper: SIFS + 58 bytes at the data
 // rate. (The SIFS is included, following T_ack's definition in Section 2.2.1.)
@@ -37,18 +41,6 @@ TimeUs LegacyAckDuration();
 // Duration of a single non-aggregated MPDU (no delimiter/padding): PHY
 // header + (payload + MAC header + FCS) at `rate`.
 TimeUs SingleMpduDuration(int packet_bytes, const PhyRate& rate);
-
-// Airtime a transmission occupies the medium for, as charged to a station's
-// ledger and deficit: data portion + acknowledgement (the contention backoff
-// and AIFS are idle time, not charged).
-//
-// `aggregated` selects block-ack (A-MPDU) vs legacy ACK framing.
-TimeUs TransmissionAirtime(int n_packets, int packet_bytes, const PhyRate& rate, bool aggregated);
-
-// The largest MPDU count whose data duration fits the TXOP/A-MPDU duration
-// cap, in [1, max_frames].
-int MaxMpdusForDuration(int packet_bytes, const PhyRate& rate, TimeUs max_duration,
-                        int max_frames);
 
 }  // namespace airfair
 

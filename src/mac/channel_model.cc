@@ -16,17 +16,22 @@ double RequiredSnrDb(int mcs_index) {
   return kPerStream[stream_mcs] + 3.0 * streams;
 }
 
-double MpduErrorProbability(double snr_db, int mcs_index, const ChannelModelParams& params) {
+double MpduErrorProbability(double snr_db, int mcs_index) {
+  // Width of the PER transition region in dB (smaller = sharper waterfall).
+  constexpr double kTransitionDb = 1.5;
+  // Residual error floor even far above the required SNR (retries exist in
+  // any real deployment).
+  constexpr double kErrorFloor = 0.005;
   const double margin = snr_db - RequiredSnrDb(mcs_index);
-  const double p = 1.0 / (1.0 + std::exp(margin / params.transition_db));
-  return std::clamp(p + params.error_floor, 0.0, 1.0);
+  const double p = 1.0 / (1.0 + std::exp(margin / kTransitionDb));
+  return std::clamp(p + kErrorFloor, 0.0, 1.0);
 }
 
-int BestMcsForSnr(double snr_db, double max_error, const ChannelModelParams& params) {
+int BestMcsForSnr(double snr_db, double max_error) {
   int best = -1;
   double best_rate = 0;
   for (int mcs = 0; mcs <= 15; ++mcs) {
-    if (MpduErrorProbability(snr_db, mcs, params) <= max_error) {
+    if (MpduErrorProbability(snr_db, mcs) <= max_error) {
       // The MCS ladder is not monotone in throughput across the stream
       // boundary (MCS 8 < MCS 7), so track the best rate explicitly.
       static const double kMbps[16] = {6.5,  13,  19.5, 26,  39,  52,  58.5, 65,

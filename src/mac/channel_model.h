@@ -14,26 +14,16 @@
 
 namespace airfair {
 
-struct ChannelModelParams {
-  // Width of the PER transition region in dB (smaller = sharper waterfall).
-  double transition_db = 1.5;
-  // Residual error floor even far above the required SNR (retries exist in
-  // any real deployment).
-  double error_floor = 0.005;
-};
-
 // Required SNR (dB) to operate HT20 MCS `mcs_index` (0-15) near its error
 // floor. Values follow the usual receiver-sensitivity ladder.
 double RequiredSnrDb(int mcs_index);
 
 // Per-MPDU error probability for a station at `snr_db` using `mcs_index`.
-double MpduErrorProbability(double snr_db, int mcs_index,
-                            const ChannelModelParams& params = ChannelModelParams());
+double MpduErrorProbability(double snr_db, int mcs_index);
 
 // The highest MCS whose error probability stays below `max_error` at
 // `snr_db` (the "oracle" rate; -1 if even MCS0 exceeds it).
-int BestMcsForSnr(double snr_db, double max_error = 0.1,
-                  const ChannelModelParams& params = ChannelModelParams());
+int BestMcsForSnr(double snr_db, double max_error = 0.1);
 
 }  // namespace airfair
 

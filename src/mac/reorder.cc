@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "src/mac/wifi_constants.h"
 #include "src/obs/trace.h"
 
 namespace airfair {
@@ -13,11 +14,7 @@ namespace airfair {
 // events carries the *node* id (2 + station index in the Testbed topology).
 
 ReorderBuffer::ReorderBuffer(Simulation* sim, InlineFunction<void(PacketPtr)> deliver)
-    : ReorderBuffer(sim, std::move(deliver), Config()) {}
-
-ReorderBuffer::ReorderBuffer(Simulation* sim, InlineFunction<void(PacketPtr)> deliver,
-                             const Config& config)
-    : sim_(sim), deliver_(std::move(deliver)), config_(config) {}
+    : sim_(sim), deliver_(std::move(deliver)) {}
 
 void ReorderBuffer::Receive(PacketPtr packet, uint32_t transmitter_node, Tid tid) {
   if (packet->mac_seq < 0) {
@@ -52,7 +49,7 @@ void ReorderBuffer::Receive(PacketPtr packet, uint32_t transmitter_node, Tid tid
   }
   // Window pressure: never hold more than the block-ack window's span.
   while (!stream->buffer.empty() &&
-         stream->buffer.rbegin()->first - stream->expected >= config_.window) {
+         stream->buffer.rbegin()->first - stream->expected >= kBlockAckWindow) {
     FlushHole(stream, /*timeout=*/false);
   }
   if (!stream->buffer.empty()) {
@@ -145,10 +142,10 @@ int ReorderBuffer::CheckInvariants(AuditFailFn fail) const {
     }
     if (!stream->buffer.empty()) {
       const int64_t span = stream->buffer.rbegin()->first - stream->expected;
-      if (span >= config_.window) {
+      if (span >= kBlockAckWindow) {
         std::ostringstream os;
         os << "stream " << key << " exceeds the block-ack window: span=" << span
-           << " window=" << config_.window;
+           << " window=" << kBlockAckWindow;
         report(os.str());
       }
       if (!stream->flush_timer.pending()) {
@@ -176,17 +173,19 @@ void ReorderBuffer::CorruptWindowForTesting() {
     if (!stream->buffer.empty()) {
       // Pretend the release point regressed far behind the highest buffered
       // frame, blowing the window bound.
-      stream->expected = stream->buffer.begin()->first - config_.window * 4;
+      stream->expected = stream->buffer.begin()->first - kBlockAckWindow * 4;
       return;
     }
   }
 }
 
 void ReorderBuffer::ArmTimer(Stream* stream) {
+  // mac80211's reorder release timeout (HT_RX_REORDER_BUF_TIMEOUT, HZ / 10).
+  constexpr TimeUs kReleaseTimeout = TimeUs::FromMilliseconds(100);
   if (stream->flush_timer.pending()) {
     return;
   }
-  stream->flush_timer = sim_->After(config_.release_timeout, [this, stream] {
+  stream->flush_timer = sim_->After(kReleaseTimeout, [this, stream] {
     ++timeout_flushes_;
     FlushHole(stream, /*timeout=*/true);
   });

@@ -66,14 +66,7 @@ class MacSequencer {
 
 class ReorderBuffer {
  public:
-  struct Config {
-    // mac80211-like reorder release timeout.
-    TimeUs release_timeout = TimeUs::FromMilliseconds(100);
-    int window = 64;  // Block-ack window.
-  };
-
   ReorderBuffer(Simulation* sim, InlineFunction<void(PacketPtr)> deliver);
-  ReorderBuffer(Simulation* sim, InlineFunction<void(PacketPtr)> deliver, const Config& config);
 
   // Accepts an MPDU from (transmitter_node, tid); releases in-order packets
   // to the delivery function. Packets without a MAC sequence number bypass
@@ -112,7 +105,7 @@ class ReorderBuffer {
   //    release point (an already-released sequence held in the buffer would
   //    be a duplicate delivery waiting to happen);
   //  * the block-ack window bound: the span between the release point and
-  //    the highest buffered sequence stays below the configured window;
+  //    the highest buffered sequence stays below the block-ack window;
   //  * the flush timer is armed exactly when a stream holds packets.
   int CheckInvariants(AuditFailFn fail) const;
 
@@ -137,7 +130,6 @@ class ReorderBuffer {
 
   Simulation* sim_;
   InlineFunction<void(PacketPtr)> deliver_;
-  Config config_;
   std::unordered_map<uint64_t, std::unique_ptr<Stream>> streams_;
   int64_t held_ = 0;
   int64_t timeout_flushes_ = 0;

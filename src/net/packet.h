@@ -60,7 +60,7 @@ enum class PacketType : uint8_t {
   kUdp,
   kTcpData,
   kTcpAck,   // Pure ACK (no payload).
-  kTcpCtrl,  // SYN / SYN-ACK / FIN.
+  kTcpCtrl,  // SYN / SYN-ACK.
   kIcmpEchoRequest,
   kIcmpEchoReply,
 };
@@ -70,7 +70,6 @@ struct TcpHeaderInfo {
   int64_t ack = 0;       // Cumulative ACK number.
   int32_t payload = 0;   // Payload bytes in this segment.
   bool syn = false;
-  bool fin = false;
   // TCP-timestamp-style option: segments carry their send time; ACKs echo the
   // timestamp of the segment that triggered them, giving retransmission-safe
   // RTT samples (Karn's problem avoided).

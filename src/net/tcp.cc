@@ -11,26 +11,37 @@ namespace airfair {
 
 namespace {
 constexpr int64_t kBulkBytes = int64_t{1} << 60;
+// Payload bytes per full segment: a 1500-byte MTU less kTcpHeaderBytes.
+constexpr int32_t kMss = 1448;
+constexpr double kInitialCwndPackets = 10;  // RFC 6928 IW10.
+// Receive-window stand-in (Linux autotuning reaches a few thousand packets;
+// 1000 * MSS ~= 1.4 MB keeps bulk flows window-capped only when buffers are
+// very deep, as in the paper's FIFO configuration).
+constexpr double kMaxCwndPackets = 1000;
+constexpr TimeUs kInitialRto = TimeUs::FromSeconds(1);       // RFC 6298.
+constexpr TimeUs kMinRto = TimeUs::FromMilliseconds(200);    // Linux TCP_RTO_MIN.
 constexpr TimeUs kMaxRto = TimeUs::FromSeconds(60);
+// Delayed ACKs: ACK every second full segment, or after this timeout
+// (Linux TCP_DELACK_MIN).
+constexpr TimeUs kDelayedAckTimeout = TimeUs::FromMilliseconds(40);
 // RFC 8312 CUBIC constants.
 constexpr double kCubicC = 0.4;
 constexpr double kCubicBeta = 0.7;
 }  // namespace
 
-TcpSocket::TcpSocket(Host* host, const TcpConfig& config) : host_(host), config_(config) {
+TcpSocket::TcpSocket(Host* host, const TcpConfig&) : host_(host) {
   flow_.src_node = host_->node_id();
   flow_.src_port = host_->AllocatePort();
   flow_.protocol = 6;
   host_->BindPort(flow_.src_port, this);
   owns_port_ = true;
-  cwnd_ = config_.initial_cwnd_packets * config_.mss;
-  ssthresh_ = config_.max_cwnd_packets * config_.mss;
+  cwnd_ = kInitialCwndPackets * kMss;
+  ssthresh_ = kMaxCwndPackets * kMss;
 }
 
-TcpSocket::TcpSocket(Host* host, const TcpConfig& config, const FlowKey& flow)
-    : host_(host), config_(config), flow_(flow) {
-  cwnd_ = config_.initial_cwnd_packets * config_.mss;
-  ssthresh_ = config_.max_cwnd_packets * config_.mss;
+TcpSocket::TcpSocket(Host* host, const FlowKey& flow) : host_(host), flow_(flow) {
+  cwnd_ = kInitialCwndPackets * kMss;
+  ssthresh_ = kMaxCwndPackets * kMss;
   state_ = State::kSynReceived;
 }
 
@@ -55,43 +66,43 @@ void TcpSocket::SendSyn() {
   if (state_ != State::kSynSent) {
     return;
   }
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->size_bytes = kTcpCtrlBytes;
   packet->type = PacketType::kTcpCtrl;
   packet->flow = flow_;
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->tcp.syn = true;
   host_->Send(std::move(packet));
-  handshake_timer_ = host_->sim()->After(config_.initial_rto, [this] { SendSyn(); });
+  handshake_timer_ = host_->sim()->After(kInitialRto, [this] { SendSyn(); });
 }
 
 void TcpSocket::SendSynAck() {
   if (state_ != State::kSynReceived) {
     return;
   }
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->size_bytes = kTcpCtrlBytes;
   packet->type = PacketType::kTcpCtrl;
   packet->flow = flow_;
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->tcp.syn = true;
   packet->tcp.ack = 1;  // Distinguishes SYN-ACK from SYN for tracing only.
   host_->Send(std::move(packet));
-  handshake_timer_ = host_->sim()->After(config_.initial_rto, [this] { SendSynAck(); });
+  handshake_timer_ = host_->sim()->After(kInitialRto, [this] { SendSynAck(); });
 }
 
 void TcpSocket::SendCtrlAck() {
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->size_bytes = kTcpAckBytes;
   packet->type = PacketType::kTcpAck;
   packet->flow = flow_;
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->tcp.ack = rcv_nxt_;
   host_->Send(std::move(packet));
 }
 
 void TcpSocket::Establish() {
-  if (state_ == State::kEstablished || state_ == State::kClosing || state_ == State::kClosed) {
+  if (state_ == State::kEstablished) {
     return;
   }
   state_ = State::kEstablished;
@@ -114,39 +125,21 @@ void TcpSocket::WriteForever() {
   TrySend();
 }
 
-void TcpSocket::Close() {
-  close_requested_ = true;
-  TrySend();
-}
+double TcpSocket::cwnd_packets() const { return cwnd_ / kMss; }
 
 void TcpSocket::TrySend() {
-  if (state_ != State::kEstablished && state_ != State::kClosing) {
+  if (state_ != State::kEstablished) {
     return;
   }
-  // The send limit covers written data plus one phantom byte for the FIN so
-  // that the FIN shares the retransmission machinery.
-  const bool want_fin = close_requested_ && !bulk_;
-  const int64_t data_limit = app_limit_;
-  const int64_t seq_limit = data_limit + (want_fin ? 1 : 0);
-  while (snd_nxt_ < seq_limit) {
-    const double window = std::min(cwnd_, config_.max_cwnd_packets * config_.mss);
+  while (snd_nxt_ < app_limit_) {
+    const double window = std::min(cwnd_, kMaxCwndPackets * kMss);
     if (static_cast<double>(InFlight()) + 1 > window) {
       break;
     }
-    if (snd_nxt_ < data_limit) {
-      const int32_t payload =
-          static_cast<int32_t>(std::min<int64_t>(config_.mss, data_limit - snd_nxt_));
-      SendSegment(snd_nxt_, payload, /*is_retransmit=*/false);
-      snd_nxt_ += payload;
-    } else {
-      // FIN.
-      if (!fin_sent_) {
-        fin_sent_ = true;
-        state_ = State::kClosing;
-      }
-      SendSegment(snd_nxt_, 0, /*is_retransmit=*/false);
-      snd_nxt_ += 1;
-    }
+    const int32_t payload =
+        static_cast<int32_t>(std::min<int64_t>(kMss, app_limit_ - snd_nxt_));
+    SendSegment(snd_nxt_, payload, /*is_retransmit=*/false);
+    snd_nxt_ += payload;
   }
   if (InFlight() > 0 && !rto_timer_.pending()) {
     ArmRto();
@@ -154,16 +147,14 @@ void TcpSocket::TrySend() {
 }
 
 void TcpSocket::SendSegment(int64_t seq, int32_t payload, bool is_retransmit) {
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->type = PacketType::kTcpData;
   packet->size_bytes = payload + kTcpHeaderBytes;
   packet->flow = flow_;
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->tcp.seq = seq;
   packet->tcp.payload = payload;
   packet->tcp.ts = host_->sim()->now().us();
-  // A zero-payload data segment is the FIN (see TrySend).
-  packet->tcp.fin = (payload == 0);
   if (is_retransmit) {
     ++retransmits_;
   }
@@ -171,11 +162,11 @@ void TcpSocket::SendSegment(int64_t seq, int32_t payload, bool is_retransmit) {
 }
 
 void TcpSocket::SendAck(int64_t ts_echo) {
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->size_bytes = kTcpAckBytes;
   packet->type = PacketType::kTcpAck;
   packet->flow = flow_;
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->tcp.ack = rcv_nxt_;
   packet->tcp.ts_echo = ts_echo;
   host_->Send(std::move(packet));
@@ -184,9 +175,9 @@ void TcpSocket::SendAck(int64_t ts_echo) {
 }
 
 TimeUs TcpSocket::CurrentRto() const {
-  TimeUs base = config_.initial_rto;
+  TimeUs base = kInitialRto;
   if (have_rtt_) {
-    base = std::max(config_.min_rto, srtt_ + 4 * rttvar_);
+    base = std::max(kMinRto, srtt_ + 4 * rttvar_);
   }
   for (int i = 0; i < rto_backoff_; ++i) {
     base = base * 2;
@@ -208,7 +199,7 @@ void TcpSocket::OnRto() {
   }
   ++timeouts_;
   OnCongestionEvent();
-  cwnd_ = config_.mss;
+  cwnd_ = kMss;
   in_recovery_ = false;
   dup_acks_ = 0;
   ++rto_backoff_;
@@ -254,30 +245,19 @@ void TcpSocket::HandleAck(const Packet& packet) {
         // Partial ACK: repair the hole at the new cumulative-ACK point.
         retransmit_next_ = std::max(retransmit_next_, snd_una_);
         const int32_t payload = static_cast<int32_t>(
-            std::min<int64_t>(config_.mss, app_limit_ - retransmit_next_));
+            std::min<int64_t>(kMss, app_limit_ - retransmit_next_));
         if (retransmit_next_ < recover_ && payload > 0) {
           SendSegment(retransmit_next_, payload, /*is_retransmit=*/true);
           retransmit_next_ += payload;
         }
-        cwnd_ = std::max(static_cast<double>(config_.mss),
-                         cwnd_ - static_cast<double>(acked) + config_.mss);
+        cwnd_ = std::max(static_cast<double>(kMss),
+                         cwnd_ - static_cast<double>(acked) + kMss);
       }
     } else {
       dup_acks_ = 0;
       GrowCongestionWindow(acked);
     }
-    const bool want_fin = close_requested_ && !bulk_;
-    const int64_t seq_limit = app_limit_ + (want_fin ? 1 : 0);
-    if (snd_una_ >= app_limit_ && !bulk_ && !drained_signalled_ && app_limit_ > 0) {
-      drained_signalled_ = true;
-      if (on_drained) {
-        on_drained();
-      }
-    }
-    if (snd_una_ >= seq_limit && fin_sent_) {
-      state_ = State::kClosed;
-      rto_timer_.Cancel();
-    } else if (InFlight() > 0) {
+    if (InFlight() > 0) {
       ArmRto();
     } else {
       rto_timer_.Cancel();
@@ -287,12 +267,12 @@ void TcpSocket::HandleAck(const Packet& packet) {
   }
   if (ack == snd_una_ && InFlight() > 0) {
     if (in_recovery_) {
-      cwnd_ += config_.mss;  // Window inflation per extra dup ACK.
+      cwnd_ += kMss;  // Window inflation per extra dup ACK.
       // SACK-like recovery: each further dup ACK signals another delivered
       // segment, so another hole can be repaired this RTT.
       if (retransmit_next_ < recover_) {
         const int32_t payload = static_cast<int32_t>(
-            std::min<int64_t>(config_.mss, app_limit_ - retransmit_next_));
+            std::min<int64_t>(kMss, app_limit_ - retransmit_next_));
         if (payload > 0) {
           SendSegment(retransmit_next_, payload, /*is_retransmit=*/true);
           retransmit_next_ += payload;
@@ -309,13 +289,9 @@ void TcpSocket::HandleAck(const Packet& packet) {
 }
 
 void TcpSocket::GrowCongestionWindow(int64_t acked_bytes) {
-  const double mss = config_.mss;
+  const double mss = kMss;
   if (cwnd_ < ssthresh_) {
     cwnd_ += std::min<double>(static_cast<double>(acked_bytes), mss);  // Slow start.
-    return;
-  }
-  if (config_.congestion_control == CongestionControl::kReno) {
-    cwnd_ += mss * mss / cwnd_;
     return;
   }
   // CUBIC congestion avoidance (RFC 8312).
@@ -346,13 +322,9 @@ void TcpSocket::GrowCongestionWindow(int64_t acked_bytes) {
 }
 
 void TcpSocket::OnCongestionEvent() {
-  if (config_.congestion_control == CongestionControl::kCubic) {
-    cubic_wmax_packets_ = cwnd_ / config_.mss;
-    cubic_epoch_start_ = TimeUs::Zero();
-    ssthresh_ = std::max(cwnd_ * kCubicBeta, 2.0 * config_.mss);
-  } else {
-    ssthresh_ = std::max(static_cast<double>(InFlight()) / 2.0, 2.0 * config_.mss);
-  }
+  cubic_wmax_packets_ = cwnd_ / kMss;
+  cubic_epoch_start_ = TimeUs::Zero();
+  ssthresh_ = std::max(cwnd_ * kCubicBeta, 2.0 * kMss);
 }
 
 void TcpSocket::EnterRecovery() {
@@ -360,10 +332,10 @@ void TcpSocket::EnterRecovery() {
   recover_ = snd_nxt_;
   in_recovery_ = true;
   const int32_t payload =
-      static_cast<int32_t>(std::min<int64_t>(config_.mss, app_limit_ - snd_una_));
+      static_cast<int32_t>(std::min<int64_t>(kMss, app_limit_ - snd_una_));
   SendSegment(snd_una_, payload, /*is_retransmit=*/true);
   retransmit_next_ = snd_una_ + payload;
-  cwnd_ = ssthresh_ + 3.0 * config_.mss;
+  cwnd_ = ssthresh_ + 3.0 * kMss;
   ArmRto();
 }
 
@@ -382,12 +354,8 @@ void TcpSocket::DeliverToApp(int64_t bytes) {
 
 void TcpSocket::HandleData(PacketPtr packet) {
   const int64_t seq = packet->tcp.seq;
-  const int64_t len = packet->tcp.payload > 0 ? packet->tcp.payload : (packet->tcp.fin ? 1 : 0);
-  const int64_t end = seq + len;
+  const int64_t end = seq + packet->tcp.payload;
   last_ts_for_ack_ = packet->tcp.ts;
-  if (packet->tcp.fin) {
-    fin_seq_ = seq;
-  }
 
   bool in_order = false;
   if (end <= rcv_nxt_) {
@@ -404,19 +372,12 @@ void TcpSocket::HandleData(PacketPtr packet) {
     auto it = ooo_.begin();
     while (it != ooo_.end() && it->first <= rcv_nxt_) {
       if (it->second > rcv_nxt_) {
-        DeliverToApp(it->second - rcv_nxt_ -
-                     ((fin_seq_ >= 0 && it->second > fin_seq_) ? 1 : 0));
+        DeliverToApp(it->second - rcv_nxt_);
         rcv_nxt_ = it->second;
       }
       it = ooo_.erase(it);
     }
     in_order = true;
-    if (fin_seq_ >= 0 && rcv_nxt_ > fin_seq_ && !fin_received_) {
-      fin_received_ = true;
-      if (on_remote_close) {
-        on_remote_close();
-      }
-    }
   } else {
     // Hole: stash the run and send an immediate duplicate ACK.
     auto [it, inserted] = ooo_.emplace(seq, end);
@@ -429,11 +390,11 @@ void TcpSocket::HandleData(PacketPtr packet) {
 
   if (in_order) {
     ++unacked_segments_;
-    const bool full_segment = packet->tcp.payload >= config_.mss;
-    if (!config_.delayed_ack || unacked_segments_ >= 2 || !full_segment || fin_received_) {
+    const bool full_segment = packet->tcp.payload >= kMss;
+    if (unacked_segments_ >= 2 || !full_segment) {
       SendAck(last_ts_for_ack_);
     } else if (!delack_timer_.pending()) {
-      delack_timer_ = host_->sim()->After(config_.delayed_ack_timeout,
+      delack_timer_ = host_->sim()->After(kDelayedAckTimeout,
                                           [this] { SendAck(last_ts_for_ack_); });
     }
   }
@@ -477,8 +438,8 @@ bool TcpListener::FlowKeyLess::operator()(const FlowKey& a, const FlowKey& b) co
          std::tie(b.src_node, b.dst_node, b.src_port, b.dst_port, b.protocol);
 }
 
-TcpListener::TcpListener(Host* host, uint16_t port, const TcpConfig& config)
-    : host_(host), port_(port), config_(config) {
+TcpListener::TcpListener(Host* host, uint16_t port, const TcpConfig&)
+    : host_(host), port_(port) {
   host_->BindPort(port_, this);
 }
 
@@ -498,7 +459,7 @@ void TcpListener::Deliver(PacketPtr packet) {
   FlowKey reverse{packet->flow.dst_node, packet->flow.src_node, packet->flow.dst_port,
                   packet->flow.src_port, /*protocol=*/6};
   // airfair-lint: allow(hot-naked-new): private ctor, make_unique cannot reach it
-  auto socket = std::unique_ptr<TcpSocket>(new TcpSocket(host_, config_, reverse));
+  auto socket = std::unique_ptr<TcpSocket>(new TcpSocket(host_, reverse));
   TcpSocket* raw = socket.get();
   connections_.emplace(packet->flow, std::move(socket));
   if (on_accept) {

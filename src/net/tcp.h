@@ -1,9 +1,11 @@
-// TCP NewReno endpoints.
+// TCP CUBIC endpoints.
 //
-// A deliberately compact but behaviourally faithful TCP: slow start,
-// congestion avoidance, fast retransmit / fast recovery with NewReno partial
-// ACKs, RTO with exponential backoff, timestamp-based RTT estimation and
-// delayed ACKs. Payload bytes are counted, never stored.
+// A deliberately compact but behaviourally faithful TCP: slow start, CUBIC
+// congestion avoidance (RFC 8312, what the paper's Ubuntu endpoints ran),
+// fast retransmit / fast recovery with NewReno-style partial ACKs, RTO with
+// exponential backoff, timestamp-based RTT estimation and delayed ACKs.
+// Connections are never torn down: there is no FIN, and a socket lives until
+// its owner destroys it. Payload bytes are counted, never stored.
 //
 // The model matters for the paper's evaluation because most experiments use
 // bulk TCP: the TCP feedback loop is what lessens the FIFO lock-out behaviour
@@ -25,25 +27,9 @@
 
 namespace airfair {
 
-enum class CongestionControl {
-  kCubic,  // Linux default (what the paper's Ubuntu 16.04 endpoints ran).
-  kReno,   // Classic AIMD, useful for tests with predictable dynamics.
-};
-
-struct TcpConfig {
-  int32_t mss = 1448;                      // Payload bytes per full segment.
-  double initial_cwnd_packets = 10;        // RFC 6928 IW10.
-  CongestionControl congestion_control = CongestionControl::kCubic;
-  TimeUs min_rto = TimeUs::FromMilliseconds(200);
-  TimeUs initial_rto = TimeUs::FromSeconds(1);
-  TimeUs delayed_ack_timeout = TimeUs::FromMilliseconds(40);
-  bool delayed_ack = true;                 // ACK every 2nd full segment.
-  Tid tid = kBestEffortTid;                // QoS marking for all segments.
-  // Receive-window stand-in (Linux autotuning reaches a few thousand
-  // packets; 1000 * MSS ~= 1.4 MB keeps bulk flows window-capped only when
-  // buffers are very deep, as in the paper's FIFO configuration).
-  double max_cwnd_packets = 1000;
-};
+// Empty: every endpoint runs the constants in tcp.cc. The type remains as a
+// constructor argument of TcpSocket and TcpListener.
+struct TcpConfig {};
 
 // A full-duplex TCP endpoint. Create via Connect() (client) or receive one
 // from a TcpListener (server side). One socket == one connection; sockets are
@@ -67,20 +53,13 @@ class TcpSocket : public PacketEndpoint {
   // Bulk mode: keeps the connection saturated until the simulation ends.
   void WriteForever();
 
-  // Sends FIN after all written data is delivered.
-  void Close();
-
   // --- callbacks ---
   InlineFunction<void()> on_connected;
   // In-order payload delivered to the application (receiving direction).
   InlineFunction<void(int64_t bytes)> on_data;
-  // All written data acknowledged (sending direction drained, excl. bulk).
-  InlineFunction<void()> on_drained;
-  // FIN from the peer delivered in order.
-  InlineFunction<void()> on_remote_close;
 
   // --- introspection / stats ---
-  bool connected() const { return state_ == State::kEstablished || state_ == State::kClosing; }
+  bool connected() const { return state_ == State::kEstablished; }
   int64_t bytes_acked() const { return snd_una_; }
   int64_t bytes_delivered() const { return delivered_bytes_; }
   int64_t measured_delivered_bytes() const { return measured_delivered_bytes_; }
@@ -88,7 +67,7 @@ class TcpSocket : public PacketEndpoint {
     measure_from_ = t;
     measured_delivered_bytes_ = 0;
   }
-  double cwnd_packets() const { return cwnd_ / config_.mss; }
+  double cwnd_packets() const;
   TimeUs srtt() const { return srtt_; }
   int64_t retransmits() const { return retransmits_; }
   int64_t timeouts() const { return timeouts_; }
@@ -104,13 +83,11 @@ class TcpSocket : public PacketEndpoint {
     kSynSent,
     kSynReceived,
     kEstablished,
-    kClosing,   // FIN sent, awaiting its ACK.
-    kClosed,
   };
 
   // Server-side constructor used by TcpListener (no port binding; the
   // listener demuxes by flow).
-  TcpSocket(Host* host, const TcpConfig& config, const FlowKey& flow);
+  TcpSocket(Host* host, const FlowKey& flow);
 
   void Establish();
   void SendSyn();
@@ -130,7 +107,6 @@ class TcpSocket : public PacketEndpoint {
   void DeliverToApp(int64_t bytes);
 
   Host* host_;
-  TcpConfig config_;
   FlowKey flow_;        // Our outbound 5-tuple.
   bool owns_port_ = false;
   State state_ = State::kIdle;
@@ -138,9 +114,6 @@ class TcpSocket : public PacketEndpoint {
   // --- send direction ---
   int64_t app_limit_ = 0;        // Total bytes the app has written.
   bool bulk_ = false;
-  bool close_requested_ = false;
-  bool fin_sent_ = false;
-  bool drained_signalled_ = false;
   int64_t snd_una_ = 0;
   int64_t snd_nxt_ = 0;
   double cwnd_ = 0;              // Bytes.
@@ -175,8 +148,6 @@ class TcpSocket : public PacketEndpoint {
   // --- receive direction ---
   int64_t rcv_nxt_ = 0;
   std::map<int64_t, int64_t> ooo_;  // start -> end (exclusive), out-of-order runs.
-  bool fin_received_ = false;
-  int64_t fin_seq_ = -1;
   int unacked_segments_ = 0;
   EventHandle delack_timer_;
   int64_t last_ts_for_ack_ = 0;
@@ -207,7 +178,6 @@ class TcpListener : public PacketEndpoint {
 
   Host* host_;
   uint16_t port_;
-  TcpConfig config_;
   std::map<FlowKey, std::unique_ptr<TcpSocket>, FlowKeyLess> connections_;
 };
 

@@ -35,11 +35,11 @@ void UdpSource::SendNext() {
   if (!running_) {
     return;
   }
-  auto packet = host_->NewPacket();
+  PacketPtr packet = host_->NewPacket();
   packet->size_bytes = config_.packet_bytes;
   packet->type = PacketType::kUdp;
   packet->flow = flow_;
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->flow_seq = sent_++;
   host_->Send(std::move(packet));
   pending_ = host_->sim()->After(Gap(), [this] { SendNext(); });
@@ -89,11 +89,11 @@ void PingSender::SendNext() {
   if (!running_) {
     return;
   }
-  auto packet = host_->NewPacket();
-  packet->size_bytes = config_.packet_bytes;
+  PacketPtr packet = host_->NewPacket();
+  packet->size_bytes = kIcmpPingBytes;
   packet->type = PacketType::kIcmpEchoRequest;
   packet->flow = FlowKey{host_->node_id(), dst_node_, port_, /*dst_port=*/0, /*protocol=*/1};
-  packet->tid = config_.tid;
+  packet->tid = kBestEffortTid;
   packet->echo_id = sent_++;
   host_->Send(std::move(packet));
   pending_ = host_->sim()->After(config_.interval, [this] { SendNext(); });

@@ -23,7 +23,6 @@ class UdpSource {
   struct Config {
     double rate_bps = 50e6;      // Offered load.
     int32_t packet_bytes = kFullDataPacketBytes;
-    Tid tid = kBestEffortTid;
     bool poisson = false;        // false = CBR spacing, true = exponential gaps.
   };
 
@@ -88,10 +87,9 @@ class UdpSink : public PacketEndpoint {
 // echo requests natively, so only the sender side exists as an endpoint.
 class PingSender : public PacketEndpoint {
  public:
+  // Echo requests are kIcmpPingBytes, best effort.
   struct Config {
     TimeUs interval = TimeUs::FromMilliseconds(100);
-    Tid tid = kBestEffortTid;
-    int32_t packet_bytes = kIcmpPingBytes;
   };
 
   PingSender(Host* host, uint32_t dst_node, const Config& config);

@@ -304,9 +304,8 @@ WebResult RunWeb(QueueScheme scheme, uint64_t seed, const WebPage& page, bool sl
     senders.push_back(std::move(sender));
   }
 
-  WebServer server(tb.server_host(), kWebPort, TcpConfig());
-  WebClient client(tb.station_host(client_index), tb.server_node(), kWebPort, &server,
-                   TcpConfig());
+  WebServer server(tb.server_host(), kWebPort);
+  WebClient client(tb.station_host(client_index), tb.server_node(), kWebPort, &server);
 
   WebResult result;
   double plt_sum_s = 0;

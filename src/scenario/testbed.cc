@@ -98,7 +98,6 @@ Testbed::Testbed(const TestbedConfig& config)
       station_table_.GetMutable(id).rate =
           rate_controls_.back()->PickRate();
     } else {
-      medium_.SetErrorRate(id, spec.error_rate);
       rate_controls_.push_back(nullptr);
     }
     station_hosts_.push_back(std::make_unique<Host>(&sim_, node));
@@ -213,8 +212,7 @@ void Testbed::BuildFault(const TestbedConfig& config) {
         return rate.mcs < 0 ? 0.0 : MpduErrorProbability(snr, rate.mcs);
       });
     } else {
-      const double p = spec.error_rate;
-      ctx.base_error.push_back([p](const PhyRate&) { return p; });
+      ctx.base_error.push_back([](const PhyRate&) { return 0.0; });
     }
   }
   const uint64_t seed =

@@ -48,10 +48,11 @@ enum class QueueScheme {
 
 const char* SchemeName(QueueScheme scheme);
 
+// A fixed-rate station has a lossless channel; only a fault plan's burst
+// windows lose its MPDUs.
 struct StationSpec {
   PhyRate rate;
   std::string name;
-  double error_rate = 0.0;  // Per-MPDU loss probability on the air.
 
   // Dynamic rate selection: when enabled, the station's rate is chosen by a
   // Minstrel-style controller against an SNR-based channel model (`rate` is

@@ -1,7 +1,6 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
@@ -9,28 +8,11 @@
 namespace airfair {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
 }
-
-double RunningStats::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::Add(double x) {
   samples_.push_back(x);
@@ -148,7 +130,7 @@ std::vector<std::pair<std::string, int64_t>> CounterSnapshot() {
 
 void ResetCounters() {
   for (auto& [name, counter] : Registry()) {
-    counter.Set(0);
+    counter = Counter();
   }
 }
 

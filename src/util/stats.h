@@ -16,26 +16,18 @@
 
 namespace airfair {
 
-// Numerically stable (Welford) running mean / variance / min / max.
+// Running count, sum and (Welford) mean.
 class RunningStats {
  public:
   void Add(double x);
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  // Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
 
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
   double sum_ = 0.0;
 };
 
@@ -100,7 +92,6 @@ double MedianOf(std::vector<double> values);
 class Counter {
  public:
   void Increment(int64_t delta = 1) { value_ += delta; }
-  void Set(int64_t value) { value_ = value; }
   int64_t value() const { return value_; }
 
  private:

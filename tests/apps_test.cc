@@ -148,8 +148,8 @@ class WebTest : public ::testing::Test {
 };
 
 TEST_F(WebTest, SmallPageFetchCompletes) {
-  WebServer server(&server_host_, 80, TcpConfig());
-  WebClient client(&client_host_, 2, 80, &server, TcpConfig());
+  WebServer server(&server_host_, 80);
+  WebClient client(&client_host_, 2, 80, &server);
   TimeUs plt;
   bool done = false;
   client.Fetch(WebPage::Small(), [&](TimeUs t) {
@@ -166,8 +166,8 @@ TEST_F(WebTest, SmallPageFetchCompletes) {
 }
 
 TEST_F(WebTest, LargePageTakesLongerThanSmall) {
-  WebServer server(&server_host_, 80, TcpConfig());
-  WebClient client(&client_host_, 2, 80, &server, TcpConfig());
+  WebServer server(&server_host_, 80);
+  WebClient client(&client_host_, 2, 80, &server);
   TimeUs small_plt;
   TimeUs large_plt;
   bool done = false;
@@ -189,8 +189,8 @@ TEST_F(WebTest, LargePageTakesLongerThanSmall) {
 }
 
 TEST_F(WebTest, SequentialFetchesWork) {
-  WebServer server(&server_host_, 80, TcpConfig());
-  WebClient client(&client_host_, 2, 80, &server, TcpConfig());
+  WebServer server(&server_host_, 80);
+  WebClient client(&client_host_, 2, 80, &server);
   int fetches = 0;
   std::function<void(TimeUs)> on_done = [&](TimeUs) { ++fetches; };
   client.Fetch(WebPage::Small(), on_done);

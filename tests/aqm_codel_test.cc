@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
 #include "tests/test_util.h"
 
 namespace airfair {
@@ -9,107 +12,137 @@ namespace {
 
 using namespace time_literals;
 
-class CodelQdiscTest : public ::testing::Test {
- protected:
-  TimeUs now_;
-  CoDelQdisc qdisc_{[this] { return now_; }, CoDelParams::Default(), /*limit_packets=*/100};
+// One FIFO under the CoDel control law, pulled through CoDelState the way
+// FQ-CoDel and MacQueues pull their flow queues: enqueue stamps the sojourn
+// clock, dequeue runs the law and counts the packets it drops.
+struct CodelFifo {
+  explicit CodelFifo(const CoDelParams& p = CoDelParams::Default()) : params(p) {}
+
+  void Enqueue(TimeUs now) {
+    PacketPtr packet = MakePacket();
+    packet->enqueued = now;
+    queue.push_back(std::move(packet));
+  }
+
+  PacketPtr Dequeue(TimeUs now) {
+    return state.Dequeue(
+        now, params,
+        [this]() -> PacketPtr {
+          if (queue.empty()) {
+            return nullptr;
+          }
+          PacketPtr p = std::move(queue.front());
+          queue.pop_front();
+          return p;
+        },
+        [this](PacketPtr) { ++drops; });
+  }
+
+  CoDelParams params;
+  std::deque<PacketPtr> queue;
+  CoDelState state;
+  int64_t drops = 0;
 };
 
-TEST_F(CodelQdiscTest, PassesThroughWhenIdle) {
-  qdisc_.Enqueue(MakePacket());
-  PacketPtr p = qdisc_.Dequeue();
+class CodelTest : public ::testing::Test {
+ protected:
+  void Enqueue() { fifo_.Enqueue(now_); }
+  PacketPtr Dequeue() { return fifo_.Dequeue(now_); }
+
+  TimeUs now_;
+  CodelFifo fifo_;
+};
+
+TEST_F(CodelTest, PassesThroughWhenIdle) {
+  Enqueue();
+  PacketPtr p = Dequeue();
   ASSERT_NE(p, nullptr);
-  EXPECT_EQ(qdisc_.drops(), 0);
+  EXPECT_EQ(fifo_.drops, 0);
 }
 
-TEST_F(CodelQdiscTest, NoDropsBelowTarget) {
+TEST_F(CodelTest, NoDropsBelowTarget) {
   // Sojourn always < 5 ms target: no drops regardless of volume.
   for (int i = 0; i < 1000; ++i) {
-    qdisc_.Enqueue(MakePacket());
+    Enqueue();
     now_ += 1_ms;
-    EXPECT_NE(qdisc_.Dequeue(), nullptr);
+    EXPECT_NE(Dequeue(), nullptr);
   }
-  EXPECT_EQ(qdisc_.drops(), 0);
-  EXPECT_FALSE(qdisc_.state().dropping());
+  EXPECT_EQ(fifo_.drops, 0);
+  EXPECT_FALSE(fifo_.state.dropping());
 }
 
-TEST_F(CodelQdiscTest, NoDropUntilIntervalElapses) {
+TEST_F(CodelTest, NoDropUntilIntervalElapses) {
   // Sojourn above target but for less than one interval (100 ms).
   for (int i = 0; i < 9; ++i) {
-    qdisc_.Enqueue(MakePacket());
+    Enqueue();
   }
   now_ += 10_ms;  // All packets now 10 ms old (> 5 ms target).
   for (int i = 0; i < 5; ++i) {
-    EXPECT_NE(qdisc_.Dequeue(), nullptr);
+    EXPECT_NE(Dequeue(), nullptr);
     now_ += 10_ms;
   }
-  EXPECT_EQ(qdisc_.drops(), 0);
+  EXPECT_EQ(fifo_.drops, 0);
 }
 
-TEST_F(CodelQdiscTest, DropsAfterSustainedExcess) {
+TEST_F(CodelTest, DropsAfterSustainedExcess) {
   // Keep the queue standing above target past the interval: CoDel must
   // enter dropping mode.
   for (int i = 0; i < 200; ++i) {
-    qdisc_.Enqueue(MakePacket());
+    Enqueue();
     now_ += 1_ms;
     if (i % 2 == 0) {
       // Drain at half the enqueue rate: the queue builds.
-      (void)qdisc_.Dequeue();
+      (void)Dequeue();
     }
   }
-  EXPECT_GT(qdisc_.drops(), 0);
+  EXPECT_GT(fifo_.drops, 0);
+  EXPECT_EQ(fifo_.state.drop_count(), fifo_.drops);
 }
 
-TEST_F(CodelQdiscTest, DropRateAccelerates) {
+TEST_F(CodelTest, DropRateAccelerates) {
   // With a persistently bad queue the control law drops more and more
   // frequently (interval / sqrt(count)).
   int drops_first_half = 0;
   int drops_second_half = 0;
   for (int phase = 0; phase < 2; ++phase) {
     for (int i = 0; i < 500; ++i) {
-      qdisc_.Enqueue(MakePacket());
-      qdisc_.Enqueue(MakePacket());
+      Enqueue();
+      Enqueue();
       now_ += 2_ms;
-      const int before = static_cast<int>(qdisc_.drops());
-      (void)qdisc_.Dequeue();
-      const int dropped = static_cast<int>(qdisc_.drops()) - before;
+      const int before = static_cast<int>(fifo_.drops);
+      (void)Dequeue();
+      const int dropped = static_cast<int>(fifo_.drops) - before;
       (phase == 0 ? drops_first_half : drops_second_half) += dropped;
     }
   }
   EXPECT_GT(drops_second_half, drops_first_half);
 }
 
-TEST_F(CodelQdiscTest, ExitsDroppingWhenQueueRecovers) {
+TEST_F(CodelTest, ExitsDroppingWhenQueueRecovers) {
   // Build a bad queue.
   for (int i = 0; i < 300; ++i) {
-    qdisc_.Enqueue(MakePacket());
-    qdisc_.Enqueue(MakePacket());
+    Enqueue();
+    Enqueue();
     now_ += 2_ms;
-    (void)qdisc_.Dequeue();
+    (void)Dequeue();
   }
-  EXPECT_GT(qdisc_.drops(), 0);
+  EXPECT_GT(fifo_.drops, 0);
+  EXPECT_TRUE(fifo_.state.dropping());
   // Drain completely; fresh packets then see an empty queue.
-  while (qdisc_.Dequeue() != nullptr) {
+  while (Dequeue() != nullptr) {
   }
-  const int64_t drops_after_drain = qdisc_.drops();
+  EXPECT_FALSE(fifo_.state.dropping());
+  const int64_t drops_after_drain = fifo_.drops;
   for (int i = 0; i < 100; ++i) {
-    qdisc_.Enqueue(MakePacket());
+    Enqueue();
     now_ += 100_us;
-    EXPECT_NE(qdisc_.Dequeue(), nullptr);
+    EXPECT_NE(Dequeue(), nullptr);
   }
-  EXPECT_EQ(qdisc_.drops(), drops_after_drain);
+  EXPECT_EQ(fifo_.drops, drops_after_drain);
 }
 
-TEST_F(CodelQdiscTest, TailDropsAtLimit) {
-  for (int i = 0; i < 150; ++i) {
-    qdisc_.Enqueue(MakePacket());
-  }
-  EXPECT_EQ(qdisc_.packet_count(), 100);
-  EXPECT_EQ(qdisc_.drops(), 50);
-}
-
-TEST_F(CodelQdiscTest, EmptyDequeueReturnsNull) {
-  EXPECT_EQ(qdisc_.Dequeue(), nullptr);
+TEST_F(CodelTest, EmptyDequeueReturnsNull) {
+  EXPECT_EQ(Dequeue(), nullptr);
 }
 
 TEST(CodelParams, LowRateValuesMatchPaper) {
@@ -123,32 +156,20 @@ TEST(CodelParams, LowRateValuesMatchPaper) {
 
 TEST(CodelState, LargerTargetToleratesMoreSojourn) {
   TimeUs now;
-  CoDelQdisc normal([&now] { return now; }, CoDelParams::Default(), 10000);
-  CoDelQdisc low([&now] { return now; }, CoDelParams::LowRate(), 10000);
+  CodelFifo normal(CoDelParams::Default());
+  CodelFifo low(CoDelParams::LowRate());
   // Steady 30 ms sojourn: above the 5 ms target, below the 50 ms one.
   for (int i = 0; i < 400; ++i) {
-    normal.Enqueue(MakePacket());
-    low.Enqueue(MakePacket());
+    normal.Enqueue(now);
+    low.Enqueue(now);
     now += 2_ms;
     if (i >= 15) {  // Keep ~15 packets standing (30 ms at this rate).
-      (void)normal.Dequeue();
-      (void)low.Dequeue();
+      (void)normal.Dequeue(now);
+      (void)low.Dequeue(now);
     }
   }
-  EXPECT_GT(normal.drops(), 0);
-  EXPECT_EQ(low.drops(), 0);
-}
-
-TEST(CodelState, ResetClearsDroppingState) {
-  TimeUs now;
-  CoDelQdisc q([&now] { return now; }, CoDelParams::Default(), 10000);
-  for (int i = 0; i < 300; ++i) {
-    q.Enqueue(MakePacket());
-    q.Enqueue(MakePacket());
-    now += 2_ms;
-    (void)q.Dequeue();
-  }
-  EXPECT_TRUE(q.state().dropping());
+  EXPECT_GT(normal.drops, 0);
+  EXPECT_EQ(low.drops, 0);
 }
 
 }  // namespace

@@ -59,6 +59,25 @@ TEST(Aggregation, DurationCapBindsAtLowRates) {
   EXPECT_LE(tx.duration, kMaxAmpduDuration + BlockAckDuration(SlowStationRate()));
 }
 
+TEST(Aggregation, OneMbpsFitsOneMpdu) {
+  // Two 1500-byte MPDUs at 1 Mbit/s take ~25 ms, far past the 4 ms cap.
+  auto q = Packets(5);
+  const TxDescriptor tx = BuildAggregate(1, 2, 0, 0, OneMbpsRate(), true, SourceFrom(&q));
+  EXPECT_EQ(tx.frame_count(), 1);
+}
+
+TEST(Aggregation, DurationIsEquationTwoPlusAck) {
+  auto q = Packets(10);
+  const TxDescriptor agg =
+      BuildAggregate(1, 2, 0, 0, FastStationRate(), true, SourceFrom(&q));
+  EXPECT_EQ(agg.duration, AmpduDataDuration(10 * PaddedMpduBytes(1500), FastStationRate()) +
+                              BlockAckDuration(FastStationRate()));
+  auto one = Packets(1);
+  const TxDescriptor single =
+      BuildAggregate(1, 2, 0, kVoiceTid, FastStationRate(), false, SourceFrom(&one));
+  EXPECT_EQ(single.duration, SingleMpduDuration(1500, FastStationRate()) + LegacyAckDuration());
+}
+
 TEST(Aggregation, SingleOversizedFrameStillSent) {
   // Even when one frame alone exceeds the cap (legacy would), at least one
   // frame must go out so the queue cannot stall. Use a tiny rate via HT for

@@ -34,6 +34,9 @@ TEST(PhyRate, ShortGiGivesTenNinths) {
 
 TEST(Airtime, AmpduSizeMatchesEquationOne) {
   // 1500-byte packet: 1500 + 4 + 34 + 4 = 1542, padded to 1544.
+  EXPECT_EQ(PaddedMpduBytes(1500), 1544);
+  EXPECT_EQ(PaddedMpduBytes(1498), 1540);
+  EXPECT_EQ(PaddedMpduBytes(1499), 1544);
   EXPECT_DOUBLE_EQ(AmpduSizeBytes(1, 1500), 1544.0);
   EXPECT_DOUBLE_EQ(AmpduSizeBytes(2, 1500), 3088.0);
   // Fractional aggregation sizes are allowed (analytical model).
@@ -47,7 +50,7 @@ TEST(Airtime, AmpduSizeMatchesEquationOne) {
 TEST(Airtime, DataDurationMatchesEquationTwo) {
   // Slow station (7.2 Mbit/s), one 1500-byte MPDU:
   // 32 us PHY header + 8*1544/7.2 us = 32 + 1715.6 ~= 1748 us.
-  const TimeUs t = AmpduDataDuration(1, 1500, SlowStationRate());
+  const TimeUs t = AmpduDataDuration(PaddedMpduBytes(1500), SlowStationRate());
   EXPECT_NEAR(static_cast<double>(t.us()), 32 + 8.0 * 1544 / 7.2222, 2.0);
 }
 
@@ -88,32 +91,10 @@ TEST(Airtime, SingleMpduOmitsDelimiterAndPadding) {
   EXPECT_NEAR(static_cast<double>(single.us()), expected_us, 1.0);
 }
 
-TEST(Airtime, TransmissionAirtimeComposition) {
-  const TimeUs agg = TransmissionAirtime(10, 1500, FastStationRate(), true);
-  EXPECT_EQ(agg, AmpduDataDuration(10, 1500, FastStationRate()) +
-                     BlockAckDuration(FastStationRate()));
-  const TimeUs single = TransmissionAirtime(1, 1500, FastStationRate(), false);
-  EXPECT_EQ(single, SingleMpduDuration(1500, FastStationRate()) + LegacyAckDuration());
-}
-
-TEST(Airtime, MaxMpdusRespectsDurationCap) {
-  // At MCS0, a 1500-byte MPDU takes ~1716 us of payload time: only 2 fit in
-  // 4 ms. This is why the paper's slow station aggregates ~1.9 packets.
-  EXPECT_EQ(MaxMpdusForDuration(1500, SlowStationRate(), kMaxAmpduDuration, 64), 2);
-  // At MCS15 the 4 ms cap allows far more; a frame cap of 32 binds first.
-  EXPECT_EQ(MaxMpdusForDuration(1500, FastStationRate(), kMaxAmpduDuration, 32), 32);
-  EXPECT_GE(MaxMpdusForDuration(1500, FastStationRate(), kMaxAmpduDuration, 64), 45);
-}
-
-TEST(Airtime, MaxMpdusAtLeastOne) {
-  // Even when a single frame exceeds the cap (1 Mbit/s legacy would take
-  // 12 ms), at least one frame must be sendable.
-  EXPECT_EQ(MaxMpdusForDuration(1500, OneMbpsRate(), kMaxAmpduDuration, 64), 1);
-}
-
 TEST(Airtime, DurationScalesInverselyWithRate) {
-  const TimeUs fast = AmpduDataDuration(8, 1500, FastStationRate());
-  const TimeUs slow = AmpduDataDuration(8, 1500, SlowStationRate());
+  const int64_t eight = 8 * PaddedMpduBytes(1500);
+  const TimeUs fast = AmpduDataDuration(eight, FastStationRate());
+  const TimeUs slow = AmpduDataDuration(eight, SlowStationRate());
   // 144.4/7.2 = 20x the rate; payload portion should be ~20x shorter.
   const double ratio = static_cast<double>(slow.us() - 32) / (fast.us() - 32);
   EXPECT_NEAR(ratio, 20.0, 0.5);

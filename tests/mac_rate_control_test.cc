@@ -103,7 +103,7 @@ TEST(RateControl, AdaptsWhenChannelDegrades) {
   EXPECT_LT(control.BestMcs(), good - 3);
 }
 
-TEST(RateControl, ExpectedThroughputTracksDelivery) {
+TEST(RateControl, BestRateTracksDelivery) {
   MinstrelRateControl control(6);
   // Everything fails except MCS 0 at 80%.
   for (int mcs = 1; mcs <= 15; ++mcs) {
@@ -111,7 +111,6 @@ TEST(RateControl, ExpectedThroughputTracksDelivery) {
   }
   control.ReportResult(0, 100, 80);
   EXPECT_EQ(control.BestMcs(), 0);
-  EXPECT_NEAR(control.ExpectedThroughputBps(), 7.22e6 * 0.8, 0.1e6);
 }
 
 TEST(RateControl, IgnoresBogusFeedback) {

@@ -67,13 +67,11 @@ TEST_F(TcpTest, TransfersExactByteCount) {
     s->on_data = [&](int64_t bytes) { received += bytes; };
   };
   TcpSocket client(client_.get(), TcpConfig());
-  bool drained = false;
-  client.on_drained = [&] { drained = true; };
   client.Connect(2, 80);
   client.Write(1000000);
   sim_.RunFor(5_s);
   EXPECT_EQ(received, 1000000);
-  EXPECT_TRUE(drained);
+  EXPECT_EQ(client.bytes_acked(), 1000000);
   EXPECT_EQ(accepted->bytes_delivered(), 1000000);
 }
 
@@ -116,10 +114,8 @@ TEST_F(TcpTest, SurvivesSevereLoss) {
   TcpSocket client(client_.get(), TcpConfig());
   client.Connect(2, 80);
   client.Write(200000);
-  bool drained = false;
-  client.on_drained = [&] { drained = true; };
   sim_.RunFor(60_s);
-  EXPECT_TRUE(drained);
+  EXPECT_EQ(client.bytes_acked(), 200000);
 }
 
 TEST_F(TcpTest, CongestionWindowRespondsToDrops) {
@@ -145,21 +141,6 @@ TEST_F(TcpTest, SrttTracksPathRtt) {
   EXPECT_NEAR(client.srtt().ToMilliseconds(), 50.0, 15.0);
 }
 
-TEST_F(TcpTest, FinTeardownSignalsRemoteClose) {
-  Build(100e6, 5_ms);
-  TcpListener listener(server_.get(), 80, TcpConfig());
-  bool remote_closed = false;
-  listener.on_accept = [&](TcpSocket* s) {
-    s->on_remote_close = [&] { remote_closed = true; };
-  };
-  TcpSocket client(client_.get(), TcpConfig());
-  client.Connect(2, 80);
-  client.Write(5000);
-  client.Close();
-  sim_.RunFor(1_s);
-  EXPECT_TRUE(remote_closed);
-}
-
 TEST_F(TcpTest, ServerCanSendToClient) {
   // Full duplex: the accepted socket writes back (the web response path).
   Build(100e6, 5_ms);
@@ -174,21 +155,6 @@ TEST_F(TcpTest, ServerCanSendToClient) {
   client.Write(300);  // "Request".
   sim_.RunFor(2_s);
   EXPECT_EQ(client_received, 50000);
-}
-
-TEST_F(TcpTest, RenoOptionWorks) {
-  Build(20e6, 10_ms);
-  TcpConfig config;
-  config.congestion_control = CongestionControl::kReno;
-  TcpListener listener(server_.get(), 80, config);
-  TcpSocket* accepted = nullptr;
-  listener.on_accept = [&](TcpSocket* s) { accepted = s; };
-  TcpSocket client(client_.get(), config);
-  client.Connect(2, 80);
-  client.WriteForever();
-  sim_.RunFor(5_s);
-  ASSERT_NE(accepted, nullptr);
-  EXPECT_GT(accepted->bytes_delivered(), int64_t{5} * 1000 * 1000);
 }
 
 TEST_F(TcpTest, SynIsRetransmittedUntilAnswered) {
