@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the paper's
 // algorithms: enqueue/dequeue of the per-TID MAC queue structure, overflow-
 // victim selection in the MAC queues and the FQ-CoDel qdisc, the CoDel
-// control-law step, airtime computation, the scheduler round and flow
-// hashing. These are the per-packet costs the kernel implementation cares
-// about.
+// control-law step, airtime computation, the scheduler round, the medium
+// grant and flow hashing. These are the per-packet costs the kernel
+// implementation cares about.
 
 #include <benchmark/benchmark.h>
 
@@ -18,9 +18,11 @@
 #include "src/core/airtime_scheduler.h"
 #include "src/core/mac_queues.h"
 #include "src/mac/airtime.h"
+#include "src/mac/medium.h"
 #include "src/net/packet_pool.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/simulation.h"
 #include "src/util/flow_hash.h"
 #include "tests/test_util.h"
 
@@ -163,6 +165,58 @@ void BM_SchedulerRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerRound)->Arg(3)->Arg(30)->Arg(300);
+
+// One medium grant (contention round, grant and completion) with
+// `range(0)` registered contenders of which one is saturated: the
+// udp_overload shape, where 256 stations and the AP register four
+// contenders each (1,028) and about one is backlogged per grant. The passes
+// visit only backlogged contenders, so both sizes should time alike.
+void BM_MediumGrant(benchmark::State& state) {
+  class Idle : public MediumClient {
+   public:
+    bool HasPending() override { return false; }
+    TxDescriptor BuildTransmission() override { return TxDescriptor{}; }
+    void OnTxComplete(TxDescriptor, bool) override {}
+  };
+  class Saturated : public MediumClient {
+   public:
+    bool HasPending() override { return true; }
+    TxDescriptor BuildTransmission() override {
+      TxDescriptor tx;
+      tx.station = 0;
+      tx.duration = TimeUs(300);
+      tx.mpdus.push_back(Mpdu{pool_.Allocate(), 0});
+      return tx;
+    }
+    void OnTxComplete(TxDescriptor, bool) override { ++grants; }
+    int64_t grants = 0;
+
+   private:
+    PacketPool pool_;  // Delivered packets return here: no steady-state allocation.
+  };
+  // Declared before the simulation, so the clients and the packet pool
+  // outlive every event the loop still holds when it is destroyed.
+  Idle idle;
+  Saturated saturated;
+  Simulation sim(1);
+  WifiMedium medium(&sim);
+  const auto id =
+      medium.Register(&saturated, EdcaFor(AccessCategory::kBestEffort), /*from_ap=*/true);
+  for (int64_t i = 1; i < state.range(0); ++i) {
+    medium.Register(&idle, EdcaFor(AccessCategory::kBestEffort), /*from_ap=*/false);
+  }
+  medium.NotifyBacklog(id);
+  for (auto _ : state) {
+    const int64_t before = saturated.grants;
+    while (saturated.grants == before) {
+      sim.loop().RunOne();
+    }
+  }
+  benchmark::DoNotOptimize(medium.busy_time());
+  state.SetItemsProcessed(saturated.grants);
+  state.SetLabel("grants");
+}
+BENCHMARK(BM_MediumGrant)->Arg(16)->Arg(1028);
 
 // Event-loop schedule+dispatch cycle: the fire-and-forget path (PostAt) vs
 // the handle-keeping path (ScheduleAt, whose handle is a slot pointer and a

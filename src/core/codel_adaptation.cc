@@ -60,14 +60,6 @@ bool CodelAdaptation::IsLowRate(StationId station) const {
   return states_[static_cast<size_t>(station)].low_rate;
 }
 
-namespace {
-
-bool SameParams(const CoDelParams& a, const CoDelParams& b) {
-  return a.target == b.target && a.interval == b.interval;
-}
-
-}  // namespace
-
 int CodelAdaptation::CheckInvariants(AuditFailFn fail) const {
   int violations = 0;
   auto report = [&](const std::string& message) {
@@ -101,14 +93,6 @@ int CodelAdaptation::CheckInvariants(AuditFailFn fail) const {
       std::ostringstream os;
       os << "station " << sid << " parameter set disagrees with its deciding estimate ("
          << state.decided_bps << " bps vs threshold " << kThresholdBps << " bps)";
-      report(os.str());
-    }
-    // ParamsFor must resolve to exactly one of the two parameter sets.
-    const CoDelParams params = ParamsFor(static_cast<StationId>(sid));
-    const CoDelParams expected = state.low_rate ? CoDelParams::LowRate() : CoDelParams::Default();
-    if (!SameParams(params, expected)) {
-      std::ostringstream os;
-      os << "station " << sid << " resolves to params outside the two sets";
       report(os.str());
     }
   }

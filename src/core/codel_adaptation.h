@@ -49,8 +49,7 @@ class CodelAdaptation {
   //    tracked at switch time;
   //  * the low-rate parameter set (50 ms / 300 ms) is only held by stations
   //    whose deciding throughput estimate was below the 12 Mbit/s
-  //    threshold, and vice versa;
-  //  * ParamsFor resolves to exactly one of the two parameter sets.
+  //    threshold, and vice versa.
   int CheckInvariants(AuditFailFn fail) const;
 
   // Test-only corruption hooks for tests/sim_audit_test.cc.

@@ -1,12 +1,31 @@
 #include "src/mac/medium.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 
 namespace airfair {
+
+namespace {
+
+constexpr size_t kWordBits = 64;
+
+// Calls visit(i) for every set bit i of `words`, in increasing order. Each
+// word is copied before its bits are visited, so `visit` may clear bit i
+// (but must set none).
+template <typename Visit>
+void ForEachSetBit(const std::vector<uint64_t>& words, Visit visit) {
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      visit(w * kWordBits + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+}  // namespace
 
 WifiMedium::WifiMedium(Simulation* sim) : sim_(sim) {}
 
@@ -18,7 +37,20 @@ WifiMedium::ContenderId WifiMedium::Register(MediumClient* client, const EdcaPar
   c.from_ap = from_ap;
   c.cw = edca.cw_min;
   contenders_.push_back(c);
+  backlog_bits_.resize((contenders_.size() + kWordBits - 1) / kWordBits, 0);
   return static_cast<ContenderId>(contenders_.size() - 1);
+}
+
+bool WifiMedium::IsBacklogged(ContenderId id) const {
+  const auto i = static_cast<size_t>(id);
+  return ((backlog_bits_[i / kWordBits] >> (i % kWordBits)) & 1) != 0;
+}
+
+void WifiMedium::SetBacklogged(ContenderId id, bool backlogged) {
+  const auto i = static_cast<size_t>(id);
+  const uint64_t bit = uint64_t{1} << (i % kWordBits);
+  uint64_t& word = backlog_bits_[i / kWordBits];
+  word = backlogged ? (word | bit) : (word & ~bit);
 }
 
 void WifiMedium::SetErrorModel(StationId station,
@@ -56,11 +88,10 @@ TimeUs WifiMedium::AirtimeUsed(StationId station) const {
 }
 
 void WifiMedium::NotifyBacklog(ContenderId id) {
-  Contender& c = contenders_[static_cast<size_t>(id)];
-  if (c.backlogged) {
+  if (IsBacklogged(id)) {
     return;
   }
-  c.backlogged = true;
+  SetBacklogged(id, true);
   if (!busy_) {
     RestartContention();
   }
@@ -70,16 +101,17 @@ void WifiMedium::RestartContention() {
   AF_DCHECK(!busy_) << " transmission started while the medium is busy";
   grant_event_.Cancel();
 
-  // Refresh backlog states (clients may have drained).
+  // Refresh backlog states (clients may have drained) and draw missing
+  // backoffs. Draws happen in id order, so the RNG stream does not depend on
+  // how many idle contenders are registered.
   bool any = false;
   int best_defer = 0;
-  for (auto& c : contenders_) {
-    if (c.backlogged && !c.client->HasPending()) {
-      c.backlogged = false;
+  ForEachSetBit(backlog_bits_, [&](size_t i) {
+    Contender& c = contenders_[i];
+    if (!c.client->HasPending()) {
+      SetBacklogged(static_cast<ContenderId>(i), false);
       c.backoff_slots = -1;
-    }
-    if (!c.backlogged) {
-      continue;
+      return;
     }
     if (c.backoff_slots < 0) {
       c.backoff_slots = static_cast<int>(sim_->rng().NextBelow(static_cast<uint64_t>(c.cw) + 1));
@@ -89,7 +121,7 @@ void WifiMedium::RestartContention() {
       best_defer = defer;
     }
     any = true;
-  }
+  });
   if (!any) {
     return;
   }
@@ -106,31 +138,23 @@ void WifiMedium::ResolveGrant(int defer_slots) {
   // re-fill hardware queues and call NotifyBacklog, which must not restart
   // contention mid-grant.
   busy_ = true;
-  // Collect all contenders whose counters expire at this round's minimum.
-  // Member scratch vector: capacity persists across grants, so steady-state
-  // rounds do not allocate.
+  // One pass over the backlogged contenders: those whose counters expire at
+  // this round's minimum win; the others lose. A contender's class depends
+  // only on its own counter before the grant, so updating a loser's counter
+  // cannot change another's class. Member scratch vector: capacity persists
+  // across grants, so steady-state rounds do not allocate.
   std::vector<int>& winner_ids = winner_scratch_;
   winner_ids.clear();
-  for (size_t i = 0; i < contenders_.size(); ++i) {
+  ForEachSetBit(backlog_bits_, [&](size_t i) {
     Contender& c = contenders_[i];
-    if (!c.backlogged) {
-      continue;
-    }
     if (c.edca.aifsn + c.backoff_slots == defer_slots) {
       winner_ids.push_back(static_cast<int>(i));
+      return;
     }
-  }
-  // Losers consume the backoff slots that elapsed beyond their AIFS.
-  for (auto& c : contenders_) {
-    if (!c.backlogged) {
-      continue;
-    }
-    if (c.edca.aifsn + c.backoff_slots == defer_slots) {
-      continue;  // Winner.
-    }
+    // Losers consume the backoff slots that elapsed beyond their AIFS.
     const int consumed = std::max(0, defer_slots - c.edca.aifsn);
     c.backoff_slots = std::max(0, c.backoff_slots - consumed);
-  }
+  });
 
   // Ask the winners to build their transmissions. The vector is recycled
   // through tx_scratch_ (capacity returns after CompleteTransmissions).
@@ -140,7 +164,7 @@ void WifiMedium::ResolveGrant(int defer_slots) {
     Contender& c = contenders_[static_cast<size_t>(id)];
     TxDescriptor tx = c.client->BuildTransmission();
     if (tx.empty()) {
-      c.backlogged = c.client->HasPending();
+      SetBacklogged(id, c.client->HasPending());
       c.backoff_slots = -1;
       continue;
     }
@@ -227,7 +251,7 @@ void WifiMedium::CompleteTransmissions(std::vector<std::pair<int, TxDescriptor>>
     c.backoff_slots = -1;
 
     c.client->OnTxComplete(std::move(tx), collision);
-    c.backlogged = c.client->HasPending();
+    SetBacklogged(id, c.client->HasPending());
   }
   // Return the (now element-free) vector's capacity to the scratch slot so
   // the next grant's ResolveGrant reuses it.

@@ -107,11 +107,12 @@ class WifiMedium {
     MediumClient* client = nullptr;
     EdcaParams edca;
     bool from_ap = false;
-    bool backlogged = false;
     int cw = 15;             // Current contention window.
     int backoff_slots = -1;  // -1: not drawn yet for this attempt.
   };
 
+  bool IsBacklogged(ContenderId id) const;
+  void SetBacklogged(ContenderId id, bool backlogged);
   void RestartContention();
   void ResolveGrant(int defer_slots);
   void CompleteTransmissions(std::vector<std::pair<int, TxDescriptor>> transmissions,
@@ -120,6 +121,10 @@ class WifiMedium {
 
   Simulation* sim_;
   std::vector<Contender> contenders_;
+  // One bit per contender, set while it is backlogged: bit i of word i / 64.
+  // The per-grant passes visit only set bits, in id order, so a grant costs
+  // O(backlogged contenders) plus one load per 64 registered ones.
+  std::vector<uint64_t> backlog_bits_;
   InlineFunction<void(PacketPtr, uint32_t, uint32_t)> deliver_;
   InlineFunction<void(StationId, AccessCategory, TimeUs)> rx_airtime_;
   std::vector<InlineFunction<double(const PhyRate&)>> error_model_by_station_;

@@ -61,8 +61,6 @@ void MinstrelRateControl::ReportResult(int mcs, int attempted, int succeeded) {
   } else {
     s.ewma_prob = (1.0 - kEwmaWeight) * s.ewma_prob + kEwmaWeight * observed;
   }
-  s.attempts += attempted;
-  s.successes += succeeded;
 }
 
 }  // namespace airfair

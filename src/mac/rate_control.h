@@ -39,8 +39,6 @@ class MinstrelRateControl {
   struct McsStats {
     double ewma_prob = 1.0;
     bool sampled = false;
-    int64_t attempts = 0;
-    int64_t successes = 0;
   };
 
   double GoodputBps(int mcs) const;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/mac/airtime.h"
@@ -239,6 +241,82 @@ TEST_F(MediumTest, DecliningClientDoesNotStallMedium) {
   c.QueueFrames(3);
   sim_.RunFor(1_s);
   EXPECT_EQ(c.completions_, 3);
+}
+
+TEST_F(MediumTest, IdleContendersDoNotChangeGrants) {
+  // Medium A registers 130 contenders, of which only five, on both sides of
+  // the 64-bit word boundaries, ever queue frames. Medium B registers just
+  // those five with the same seed. Idle contenders draw no backoff, so every
+  // grant, collision and delivery must match between the two.
+  const std::vector<StationId> active = {0, 63, 64, 127, 129};
+  const auto duration_of = [](StationId s) { return TimeUs(200 + s); };
+  const auto edca_of = [](StationId s) {
+    // One video contender: a shorter AIFS, so losers consume unequal slots.
+    return EdcaFor(s == 64 ? AccessCategory::kVideo : AccessCategory::kBestEffort);
+  };
+  std::vector<std::unique_ptr<FakeClient>> a;
+  for (StationId s = 0; s < 130; ++s) {
+    a.push_back(std::make_unique<FakeClient>(&medium_, s, static_cast<uint32_t>(s),
+                                             duration_of(s)));
+    a.back()->Register(edca_of(s), /*from_ap=*/false);
+  }
+  std::vector<uint32_t> delivered_b;
+  Simulation sim_b(7);
+  WifiMedium medium_b(&sim_b);
+  medium_b.set_deliver(
+      [&delivered_b](PacketPtr, uint32_t, uint32_t dst) { delivered_b.push_back(dst); });
+  std::vector<std::unique_ptr<FakeClient>> b;
+  for (StationId s : active) {
+    b.push_back(std::make_unique<FakeClient>(&medium_b, s, static_cast<uint32_t>(s),
+                                             duration_of(s)));
+    b.back()->Register(edca_of(s), /*from_ap=*/false);
+  }
+
+  const auto expect_same_grants = [&] {
+    for (size_t k = 0; k < active.size(); ++k) {
+      const FakeClient& ca = *a[static_cast<size_t>(active[k])];
+      const FakeClient& cb = *b[k];
+      EXPECT_EQ(ca.built_, cb.built_) << "station " << active[k];
+      EXPECT_EQ(ca.completions_, cb.completions_) << "station " << active[k];
+      EXPECT_EQ(medium_.AirtimeUsed(active[k]), medium_b.AirtimeUsed(active[k]))
+          << "station " << active[k];
+    }
+    EXPECT_EQ(medium_.transmissions(), medium_b.transmissions());
+    EXPECT_EQ(medium_.collisions(), medium_b.collisions());
+    EXPECT_EQ(medium_.busy_time(), medium_b.busy_time());
+    EXPECT_EQ(delivered_, delivered_b);
+  };
+
+  // Every active contender queues a finite burst and drains it.
+  for (size_t k = 0; k < active.size(); ++k) {
+    a[static_cast<size_t>(active[k])]->QueueFrames(50);
+    b[k]->QueueFrames(50);
+  }
+  sim_.RunFor(1_s);
+  sim_b.RunFor(1_s);
+  EXPECT_GT(medium_.collisions(), 0);
+  for (StationId s = 0; s < 130; ++s) {
+    const FakeClient& c = *a[static_cast<size_t>(s)];
+    EXPECT_EQ(c.pending_, 0) << "station " << s;
+    const bool is_active = std::find(active.begin(), active.end(), s) != active.end();
+    EXPECT_EQ(c.built_ > 0, is_active) << "station " << s;
+  }
+  expect_same_grants();
+
+  // Station 127 drained with the medium idle; a new burst must bring it
+  // back into contention and out again.
+  FakeClient& a127 = *a[127];
+  FakeClient& b127 = *b[3];  // active[3] == 127.
+  const int built_before = a127.built_;
+  const TimeUs airtime_before = medium_.AirtimeUsed(127);
+  a127.QueueFrames(5);
+  b127.QueueFrames(5);
+  sim_.RunFor(100_ms);
+  sim_b.RunFor(100_ms);
+  EXPECT_EQ(a127.built_, built_before + 5);
+  EXPECT_EQ(a127.pending_, 0);
+  EXPECT_EQ(medium_.AirtimeUsed(127), airtime_before + 5 * duration_of(127));
+  expect_same_grants();
 }
 
 }  // namespace
