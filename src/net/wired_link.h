@@ -1,12 +1,15 @@
 // Full-duplex point-to-point wired link (the Gigabit Ethernet hop between the
 // server and the access point in the paper's testbed).
 //
-// Each direction serializes packets at the configured rate after a fixed
-// one-way propagation/processing delay. The buffer is a plain FIFO; at
-// 1 Gbit/s it never becomes the bottleneck in the evaluated scenarios, but
-// the limit exists so misconfigured scenarios fail loudly rather than grow
-// without bound. The configurable extra delay models the paper's baseline
-// one-way delays (5 ms / 50 ms in Table 2).
+// Each direction serializes packets in FIFO order at the configured rate,
+// then adds a fixed one-way propagation/processing delay. The transmit
+// schedule is computed in closed form when a packet is sent, so a packet
+// costs one event: its delivery. The buffer limit counts the packets
+// waiting to serialize, not the one on the wire; at 1 Gbit/s the buffer
+// never becomes the bottleneck in the evaluated scenarios, but the limit
+// exists so misconfigured scenarios fail loudly rather than grow without
+// bound. The configurable extra delay models the paper's baseline one-way
+// delays (5 ms / 50 ms in Table 2).
 
 #ifndef AIRFAIR_SRC_NET_WIRED_LINK_H_
 #define AIRFAIR_SRC_NET_WIRED_LINK_H_
@@ -44,13 +47,14 @@ class WiredLink {
     int64_t delivered() const { return delivered_; }
 
    private:
-    void StartNext();
-
     Simulation* sim_;
     Config config_;
     InlineFunction<void(PacketPtr)> deliver_;
-    std::deque<PacketPtr> queue_;
-    bool busy_ = false;
+    // Serialization start times of the packets still waiting for the
+    // transmitter, oldest first: the buffer occupancy.
+    std::deque<TimeUs> waiting_;
+    // When the transmitter finishes the last packet it accepted.
+    TimeUs free_at_;
     int64_t drops_ = 0;
     int64_t delivered_ = 0;
   };

@@ -16,11 +16,6 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-TraceBuffer*& CurrentSlot() {
-  static TraceBuffer* current = nullptr;
-  return current;
-}
-
 }  // namespace
 
 const char* TraceEventTypeName(TraceEventType type) {
@@ -111,11 +106,9 @@ void TraceBuffer::DumpTail(size_t n) const {
   std::fflush(stderr);
 }
 
-TraceBuffer* CurrentTraceBuffer() { return CurrentSlot(); }
-
 TraceBuffer* SetCurrentTraceBuffer(TraceBuffer* buffer) {
-  TraceBuffer* previous = CurrentSlot();
-  CurrentSlot() = buffer;
+  TraceBuffer* previous = current_trace_buffer;
+  current_trace_buffer = buffer;
   return previous;
 }
 

@@ -157,7 +157,12 @@ class TraceBuffer {
 
 // --- Current-buffer installation (runtime gate) ----------------------------
 
-TraceBuffer* CurrentTraceBuffer();
+// The installed buffer, nullptr when tracing is off. Written only by
+// SetCurrentTraceBuffer; an inline variable so every AF_TRACE_* site reads
+// it with one load, not a call.
+inline TraceBuffer* current_trace_buffer = nullptr;
+
+inline TraceBuffer* CurrentTraceBuffer() { return current_trace_buffer; }
 // Installs `buffer` (nullptr disables tracing) and returns the previously
 // installed buffer.
 TraceBuffer* SetCurrentTraceBuffer(TraceBuffer* buffer);

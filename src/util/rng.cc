@@ -38,14 +38,18 @@ uint64_t Rng::Next() {
 }
 
 uint64_t Rng::NextBelow(uint64_t bound) {
-  // Lemire-style rejection to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
-  for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) {
-      return r % bound;
+  // Rejection to avoid modulo bias: draws below 2^64 mod bound are redrawn.
+  // That threshold is below bound, so a draw at or above bound is always
+  // kept, and the division that computes the threshold is paid only when
+  // the draw falls below bound.
+  uint64_t r = Next();
+  if (r < bound) {
+    const uint64_t threshold = -bound % bound;
+    while (r < threshold) {
+      r = Next();
     }
   }
+  return r % bound;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/net/host.h"
 #include "src/net/udp.h"
 #include "src/net/wired_link.h"
@@ -118,6 +120,24 @@ TEST(WiredLink, SerializesBackToBackPackets) {
   EXPECT_EQ(arrivals[1], 24_ms);
 }
 
+TEST(WiredLink, OneEventPerPacket) {
+  Simulation sim;
+  WiredLink::Config config;
+  config.rate_bps = 1e9;  // 1500 B = 12 us each.
+  config.one_way_delay = 100_us;
+  WiredLink link(&sim, config);
+  std::vector<TimeUs> arrivals;
+  link.forward().set_deliver([&](PacketPtr) { arrivals.push_back(sim.now()); });
+  for (int i = 0; i < 5; ++i) {
+    link.forward().Send(MakePacket(1500));
+  }
+  sim.RunFor(1_s);
+  EXPECT_EQ(arrivals, (std::vector<TimeUs>{112_us, 124_us, 136_us, 148_us, 160_us}));
+  // The deliveries are the only events: the transmit schedule is computed
+  // when each packet is sent.
+  EXPECT_EQ(sim.loop().dispatched_events(), 5);
+}
+
 TEST(WiredLink, DropsWhenQueueFull) {
   Simulation sim;
   WiredLink::Config config;
@@ -127,9 +147,34 @@ TEST(WiredLink, DropsWhenQueueFull) {
   for (int i = 0; i < 10; ++i) {
     link.forward().Send(MakePacket());
   }
-  EXPECT_GT(link.forward().drops(), 0);
+  // The first packet is on the wire, five wait, and the other four drop.
+  EXPECT_EQ(link.forward().drops(), 4);
   sim.RunFor(1_s);
-  EXPECT_EQ(link.forward().delivered() + link.forward().drops(), 10);
+  EXPECT_EQ(link.forward().delivered(), 6);
+}
+
+TEST(WiredLink, BufferCountsOnlyPacketsWaitingToSerialize) {
+  Simulation sim;
+  WiredLink::Config config;
+  config.rate_bps = 1e6;  // 1 Mbit/s: 1500 B = 12 ms each.
+  config.one_way_delay = TimeUs::Zero();
+  config.max_queue_packets = 2;
+  WiredLink link(&sim, config);
+  std::vector<TimeUs> arrivals;
+  link.forward().set_deliver([&](PacketPtr) { arrivals.push_back(sim.now()); });
+  // One packet on the wire and two waiting fill the buffer.
+  for (int i = 0; i < 4; ++i) {
+    link.forward().Send(MakePacket(1500));
+  }
+  EXPECT_EQ(link.forward().drops(), 1);
+  // At 12 ms the second packet starts serializing and leaves the buffer, so
+  // one slot is free again.
+  sim.RunUntil(12_ms);
+  link.forward().Send(MakePacket(1500));
+  link.forward().Send(MakePacket(1500));
+  EXPECT_EQ(link.forward().drops(), 2);
+  sim.RunFor(1_s);
+  EXPECT_EQ(arrivals, (std::vector<TimeUs>{12_ms, 24_ms, 36_ms, 48_ms}));
 }
 
 TEST(WiredLink, DirectionsAreIndependent) {

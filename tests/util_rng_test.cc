@@ -41,6 +41,36 @@ TEST(Rng, NextBelowOneIsAlwaysZero) {
   }
 }
 
+// Reference: the plain rejection loop, which computes the threshold on every
+// draw. NextBelow must consume and return the same stream.
+uint64_t ReferenceNextBelow(Rng& rng, uint64_t bound) {
+  const uint64_t threshold = -bound % bound;
+  for (;;) {
+    const uint64_t r = rng.Next();
+    if (r >= threshold) {
+      return r % bound;
+    }
+  }
+}
+
+TEST(Rng, NextBelowMatchesRejectionReference) {
+  // At 2^63 + 1 about half the draws fall below bound and the threshold is
+  // 2^63 - 1, so both the skip and the redraw branches run.
+  const uint64_t bounds[] = {1,           2,           7,           17,
+                             1000,        uint64_t{1} << 32,
+                             (uint64_t{1} << 32) + 1,  (uint64_t{1} << 63) + 1,
+                             ~uint64_t{0}};
+  for (const uint64_t bound : bounds) {
+    Rng rng(31);
+    Rng reference(31);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.NextBelow(bound), ReferenceNextBelow(reference, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(rng.Next(), reference.Next()) << "bound " << bound;
+  }
+}
+
 TEST(Rng, UniformIntCoversRangeInclusive) {
   Rng rng(11);
   bool saw_lo = false;
