@@ -5,7 +5,7 @@
 namespace airfair {
 
 UdpSource::UdpSource(Host* host, uint32_t dst_node, uint16_t dst_port, const Config& config)
-    : host_(host), config_(config), rng_(host->sim()->rng().Fork()) {
+    : host_(host), config_(config) {
   flow_ = FlowKey{host->node_id(), dst_node, host->AllocatePort(), dst_port, /*protocol=*/17};
 }
 
@@ -22,15 +22,6 @@ void UdpSource::Stop() {
   pending_.Cancel();
 }
 
-TimeUs UdpSource::Gap() {
-  const double seconds = static_cast<double>(config_.packet_bytes) * 8.0 / config_.rate_bps;
-  const TimeUs mean = TimeUs::FromSeconds(seconds);
-  if (config_.poisson) {
-    return rng_.Exponential(mean);
-  }
-  return mean;
-}
-
 void UdpSource::SendNext() {
   if (!running_) {
     return;
@@ -42,7 +33,9 @@ void UdpSource::SendNext() {
   packet->tid = kBestEffortTid;
   packet->flow_seq = sent_++;
   host_->Send(std::move(packet));
-  pending_ = host_->sim()->After(Gap(), [this] { SendNext(); });
+  const TimeUs gap = TimeUs::FromSeconds(static_cast<double>(config_.packet_bytes) * 8.0 /
+                                         config_.rate_bps);
+  pending_ = host_->sim()->After(gap, [this] { SendNext(); });
 }
 
 UdpSink::UdpSink(Host* host, uint16_t port) : host_(host), port_(port) {

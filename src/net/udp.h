@@ -1,9 +1,8 @@
 // UDP traffic generators and sinks.
 //
 // CBR (constant bit rate) sources saturate the downlink in the paper's
-// one-way UDP experiments; the Poisson option exists for less regular loads
-// (and for property tests of the queueing layer). The sink measures goodput,
-// loss and one-way latency.
+// one-way UDP experiments. The sink measures goodput, loss and one-way
+// latency.
 
 #ifndef AIRFAIR_SRC_NET_UDP_H_
 #define AIRFAIR_SRC_NET_UDP_H_
@@ -23,7 +22,6 @@ class UdpSource {
   struct Config {
     double rate_bps = 50e6;      // Offered load.
     int32_t packet_bytes = kFullDataPacketBytes;
-    bool poisson = false;        // false = CBR spacing, true = exponential gaps.
   };
 
   // Sends from `host` to (dst_node, dst_port). Starts when Start() is called
@@ -37,12 +35,10 @@ class UdpSource {
 
  private:
   void SendNext();
-  TimeUs Gap();
 
   Host* host_;
   Config config_;
   FlowKey flow_;
-  Rng rng_;
   bool running_ = false;
   int64_t sent_ = 0;
   EventHandle pending_;

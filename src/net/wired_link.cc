@@ -6,18 +6,34 @@
 
 namespace airfair {
 
+WiredLink::Direction::Direction(Simulation* sim, const Config& config)
+    : sim_(sim), config_(config) {
+  AF_CHECK(config_.max_queue_packets >= 0)
+      << " wired link buffer of " << config_.max_queue_packets << " packets";
+  waiting_.resize(static_cast<size_t>(config_.max_queue_packets));
+}
+
 void WiredLink::Direction::Send(PacketPtr packet) {
   const TimeUs now = sim_->now();
-  while (!waiting_.empty() && waiting_.front() <= now) {
-    waiting_.pop_front();
+  while (waiting_count_ > 0 && waiting_[waiting_head_] <= now) {
+    if (++waiting_head_ == waiting_.size()) {
+      waiting_head_ = 0;
+    }
+    --waiting_count_;
   }
-  if (static_cast<int>(waiting_.size()) >= config_.max_queue_packets) {
+  // Checked before the push, so a zero-packet buffer drops every packet.
+  if (waiting_count_ >= config_.max_queue_packets) {
     ++drops_;
     return;
   }
   const TimeUs start = std::max(now, free_at_);
   if (start > now) {
-    waiting_.push_back(start);
+    size_t tail = waiting_head_ + static_cast<size_t>(waiting_count_);
+    if (tail >= waiting_.size()) {
+      tail -= waiting_.size();
+    }
+    waiting_[tail] = start;
+    ++waiting_count_;
   }
   const double tx_seconds = static_cast<double>(packet->size_bytes) * 8.0 / config_.rate_bps;
   free_at_ = start + TimeUs::FromSeconds(tx_seconds);

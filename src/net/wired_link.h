@@ -15,8 +15,8 @@
 #define AIRFAIR_SRC_NET_WIRED_LINK_H_
 
 #include <cstdint>
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/simulation.h"
@@ -37,7 +37,7 @@ class WiredLink {
   // One direction of the link. Wire two of these for full duplex.
   class Direction {
    public:
-    Direction(Simulation* sim, const Config& config) : sim_(sim), config_(config) {}
+    Direction(Simulation* sim, const Config& config);
 
     void set_deliver(InlineFunction<void(PacketPtr)> deliver) { deliver_ = std::move(deliver); }
 
@@ -51,8 +51,12 @@ class WiredLink {
     Config config_;
     InlineFunction<void(PacketPtr)> deliver_;
     // Serialization start times of the packets still waiting for the
-    // transmitter, oldest first: the buffer occupancy.
-    std::deque<TimeUs> waiting_;
+    // transmitter, oldest first: the buffer occupancy. A ring of
+    // max_queue_packets slots, allocated once, so a backlogged link
+    // allocates nothing.
+    std::vector<TimeUs> waiting_;
+    size_t waiting_head_ = 0;
+    int waiting_count_ = 0;
     // When the transmitter finishes the last packet it accepted.
     TimeUs free_at_;
     int64_t drops_ = 0;

@@ -132,10 +132,8 @@ StationMeasurements RunTcpDownload(const TestbedConfig& config, const Experiment
     if (!ping[static_cast<size_t>(i)]) {
       continue;
     }
-    PingSender::Config cfg;
-    cfg.interval = options.ping_interval;
-    pings[static_cast<size_t>(i)] =
-        std::make_unique<PingSender>(tb.server_host(), tb.station_node(i), cfg);
+    pings[static_cast<size_t>(i)] = std::make_unique<PingSender>(
+        tb.server_host(), tb.station_node(i), PingSender::Config());
     pings[static_cast<size_t>(i)]->Start();
   }
 
@@ -338,21 +336,10 @@ WebResult RunWeb(QueueScheme scheme, uint64_t seed, const WebPage& page, bool sl
 }
 
 TestbedConfig ThirtyStationConfig(QueueScheme scheme, uint64_t seed) {
-  TestbedConfig config;
-  config.seed = seed;
-  config.scheme = scheme;
-  config.stations.clear();
   // 28 bulk stations with a spread of rates ("configured to select their
   // rate in the usual way"), one 1 Mbit/s legacy station, one ping-only
   // station.
-  const int kMcsSpread[] = {15, 12, 7, 4};
-  for (int i = 0; i < 28; ++i) {
-    StationSpec spec;
-    spec.rate = McsRate(kMcsSpread[i % 4], /*short_gi=*/true);
-    spec.name = "fast-" + std::to_string(i + 1);
-    config.stations.push_back(spec);
-  }
-  config.stations.push_back(LegacyStation("slow-1mbps"));
+  TestbedConfig config = ScaleConfig(29, scheme, seed);
   config.stations.push_back(FastStation("sparse"));
   return config;
 }

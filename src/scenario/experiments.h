@@ -40,7 +40,6 @@ struct TcpOptions {
   bool bidirectional = false;       // Simultaneous upload from every bulk station.
   std::vector<bool> bulk;           // Which stations receive bulk TCP; default: all.
   std::vector<bool> ping;           // Which stations are pinged; default: all.
-  TimeUs ping_interval = TimeUs::FromMilliseconds(100);
 };
 
 StationMeasurements RunTcpDownload(const TestbedConfig& config,

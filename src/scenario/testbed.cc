@@ -192,7 +192,6 @@ void Testbed::BuildFault(const TestbedConfig& config) {
   FaultInjectorContext ctx;
   ctx.sim = &sim_;
   ctx.stations = &station_table_;
-  ctx.medium = &medium_;
   ctx.ap = ap_.get();
   ctx.ap_node = ap_node();
   for (const auto& station : wifi_stations_) {
@@ -202,22 +201,7 @@ void Testbed::BuildFault(const TestbedConfig& config) {
     ctx.reorder.push_back(reorder.get());
   }
   ctx.timeseries = timeseries_.get();
-  // Base error models, rebuilt to match what the constructor installed on
-  // the medium, so burst windows layer over the configured channel instead
-  // of replacing it.
-  for (const StationSpec& spec : config.stations) {
-    if (spec.auto_rate) {
-      const double snr = spec.snr_db;
-      ctx.base_error.push_back([snr](const PhyRate& rate) {
-        return rate.mcs < 0 ? 0.0 : MpduErrorProbability(snr, rate.mcs);
-      });
-    } else {
-      ctx.base_error.push_back([](const PhyRate&) { return 0.0; });
-    }
-  }
-  const uint64_t seed =
-      config.churn_seed != 0 ? config.churn_seed : ChurnSeedFromEnv(config.seed);
-  fault_ = std::make_unique<FaultInjector>(std::move(ctx), config.faults, seed);
+  fault_ = std::make_unique<FaultInjector>(std::move(ctx), config.faults);
   fault_->Arm();
 }
 
@@ -389,14 +373,8 @@ void Testbed::SampleTimeseries() {
     timeseries_->Record(jain_series_, now, JainFairnessIndex(jain_scratch_));
   }
 
-  // Backend standing queue (whichever backend this scheme uses).
-  if (mac_backend_ != nullptr) {
-    timeseries_->Record(depth_series_, now,
-                        static_cast<double>(mac_backend_->packet_count()));
-  } else if (qdisc_backend_ != nullptr) {
-    timeseries_->Record(depth_series_, now,
-                        static_cast<double>(qdisc_backend_->packet_count()));
-  }
+  // Backend standing queue (whichever backend is installed).
+  timeseries_->Record(depth_series_, now, static_cast<double>(ap_->backend()->packet_count()));
 
   // Per-station end-to-end latency quantiles over the window. The medium's
   // deliver callback accumulated every delivery since the previous tick,

@@ -48,8 +48,7 @@ enum class QueueScheme {
 
 const char* SchemeName(QueueScheme scheme);
 
-// A fixed-rate station has a lossless channel; only a fault plan's burst
-// windows lose its MPDUs.
+// A fixed-rate station has a lossless channel.
 struct StationSpec {
   PhyRate rate;
   std::string name;
@@ -111,13 +110,12 @@ struct TestbedConfig {
   bool packet_pool = true;
   int shards = 1;
   TimeUs host_bus_delay = TimeUs::Zero();
-  // Fault-injection perturbation schedule (src/fault): station churn,
-  // Gilbert-Elliott burst loss and rate fades, replayed as events on the
-  // simulation's loop. Defaults to the AIRFAIR_FAULT_SCHEDULE environment
-  // schedule; empty = no injection.
+  // Fault-injection perturbation schedule (src/fault): station churn
+  // replayed as events on the simulation's loop. Defaults to the
+  // AIRFAIR_FAULT_SCHEDULE environment schedule; empty = no injection.
   FaultPlan faults = FaultPlanFromEnv();
-  // Seed for the burst-loss chains. 0 = AIRFAIR_CHURN_SEED, falling back to
-  // a derivation from `seed` (see ChurnSeedFromEnv).
+  // Unread: churn draws no randomness. The field remains only because
+  // perfbench/src/workloads.cc assigns it.
   uint64_t churn_seed = 0;
 };
 
@@ -202,7 +200,7 @@ class Testbed {
   std::vector<std::unique_ptr<MinstrelRateControl>> rate_controls_;
   std::unique_ptr<Auditor> auditor_;
   std::unique_ptr<PacketLedger> ledger_;
-  // Non-owning over everything above (stations, AP, medium, reorder); holds
+  // Non-owning over everything above (stations, AP, reorder); holds
   // only bookkeeping of its own at destruction time.
   std::unique_ptr<FaultInjector> fault_;
   // Non-owning views of the backend for audit registration.

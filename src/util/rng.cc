@@ -1,7 +1,5 @@
 #include "src/util/rng.h"
 
-#include <cmath>
-
 namespace airfair {
 
 namespace {
@@ -71,17 +69,5 @@ bool Rng::Chance(double p) {
   }
   return UniformDouble() < p;
 }
-
-TimeUs Rng::Exponential(TimeUs mean) {
-  double u = UniformDouble();
-  // Guard against log(0).
-  if (u <= 0.0) {
-    u = 0x1.0p-53;
-  }
-  const double draw = -std::log(1.0 - u) * static_cast<double>(mean.us());
-  return TimeUs(static_cast<int64_t>(draw));
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace airfair

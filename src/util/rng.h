@@ -10,8 +10,6 @@
 
 #include <cstdint>
 
-#include "src/util/time.h"
-
 namespace airfair {
 
 class Rng {
@@ -34,14 +32,6 @@ class Rng {
 
   // Bernoulli trial with probability p of returning true.
   bool Chance(double p);
-
-  // Exponentially distributed duration with the given mean (for Poisson
-  // arrival processes). Mean must be positive.
-  TimeUs Exponential(TimeUs mean);
-
-  // Forks an independent generator; the child stream is decorrelated from
-  // the parent (jump via fresh splitmix from the parent's output).
-  Rng Fork();
 
  private:
   uint64_t state_[4];

@@ -1,10 +1,9 @@
-// Tests for the fault-injection subsystem (src/fault): schedule parsing,
-// Gilbert-Elliott chain determinism, and the injector's churn / burst /
-// fade perturbations applied to a live testbed — including the conservation
-// property that makes churn auditable: every packet destroyed by a teardown
-// is accounted as `drained`, so the ledger still balances mid-churn. The
-// last section pins run-level determinism: faulted and traced runs repeat
-// byte-for-byte.
+// Tests for the fault-injection subsystem (src/fault): schedule parsing and
+// the injector's churn perturbations applied to a live testbed — including
+// the conservation property that makes churn auditable: every packet
+// destroyed by a teardown is accounted as `drained`, so the ledger still
+// balances mid-churn. The last section pins run-level determinism: faulted
+// and traced runs repeat byte-for-byte.
 
 #include "src/fault/fault_injector.h"
 
@@ -14,10 +13,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fault/fault_schedule.h"
-#include "src/fault/gilbert_elliott.h"
 #include "src/net/udp.h"
 #include "src/scenario/experiments.h"
 #include "src/scenario/testbed.h"
@@ -33,38 +32,16 @@ using namespace time_literals;
 TEST(FaultSchedule, ParsesEveryEventKind) {
   FaultPlan plan;
   std::string error;
-  ASSERT_TRUE(ParseFaultSchedule(
-      "leave:1:500;join:1:1500;burst:0:200:300:0.8:50:10;fade:2:100:3:400", &plan,
-      &error))
-      << error;
-  ASSERT_EQ(plan.events.size(), 4u);
+  ASSERT_TRUE(ParseFaultSchedule("leave:1:500;join:2:1500", &plan, &error)) << error;
+  ASSERT_EQ(plan.events.size(), 2u);
 
   EXPECT_EQ(plan.events[0].kind, FaultKind::kLeave);
   EXPECT_EQ(plan.events[0].station, 1);
   EXPECT_EQ(plan.events[0].at, 500_ms);
 
   EXPECT_EQ(plan.events[1].kind, FaultKind::kJoin);
+  EXPECT_EQ(plan.events[1].station, 2);
   EXPECT_EQ(plan.events[1].at, 1500_ms);
-
-  EXPECT_EQ(plan.events[2].kind, FaultKind::kBurstLoss);
-  EXPECT_EQ(plan.events[2].station, 0);
-  EXPECT_EQ(plan.events[2].duration, 300_ms);
-  EXPECT_DOUBLE_EQ(plan.events[2].p_bad, 0.8);
-  EXPECT_EQ(plan.events[2].mean_good, 50_ms);
-  EXPECT_EQ(plan.events[2].mean_bad, 10_ms);
-
-  EXPECT_EQ(plan.events[3].kind, FaultKind::kRateFade);
-  EXPECT_EQ(plan.events[3].mcs, 3);
-  EXPECT_EQ(plan.events[3].restore_after, 400_ms);
-}
-
-TEST(FaultSchedule, BurstDwellTimesDefaultWhenOmitted) {
-  FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(ParseFaultSchedule("burst:0:200:300:0.5", &plan, &error)) << error;
-  ASSERT_EQ(plan.events.size(), 1u);
-  EXPECT_EQ(plan.events[0].mean_good, 200_ms);
-  EXPECT_EQ(plan.events[0].mean_bad, 20_ms);
 }
 
 TEST(FaultSchedule, EmptyAndSeparatorOnlySchedulesAreEmptyPlans) {
@@ -81,10 +58,9 @@ TEST(FaultSchedule, RejectsMalformedSchedules) {
       "leave:x:100",             // Non-numeric station.
       "leave:-1:100",            // Negative station.
       "leave:1:-5",              // Negative time.
-      "burst:0:100:50:1.5",      // p_bad outside [0, 1].
-      "burst:0:100:50:0.5:0:10", // Zero dwell time.
-      "burst:0:100:50",          // Missing probability.
-      "fade:0:100",              // Missing MCS.
+      "join:1:100:5",            // Extra field.
+      "burst:0:200:300:0.5",     // Burst loss is not a fault kind.
+      "fade:2:100:3:400",        // Nor is a rate fade.
   };
   for (const char* schedule : bad) {
     FaultPlan plan;
@@ -96,28 +72,15 @@ TEST(FaultSchedule, RejectsMalformedSchedules) {
 
 TEST(FaultSchedule, BuildersMatchParser) {
   FaultPlan built;
-  built.Leave(1, 500_ms).Join(1, 1500_ms).Burst(0, 200_ms, 300_ms, 0.8).Fade(2, 100_ms, 3,
-                                                                             400_ms);
+  built.Leave(1, 500_ms).Join(1, 1500_ms).Leave(0, 2000_ms);
   FaultPlan parsed;
-  ASSERT_TRUE(ParseFaultSchedule(
-      "leave:1:500;join:1:1500;burst:0:200:300:0.8;fade:2:100:3:400", &parsed, nullptr));
+  ASSERT_TRUE(ParseFaultSchedule("leave:1:500;join:1:1500;leave:0:2000", &parsed, nullptr));
   ASSERT_EQ(built.events.size(), parsed.events.size());
   for (size_t i = 0; i < built.events.size(); ++i) {
     EXPECT_EQ(built.events[i].kind, parsed.events[i].kind) << i;
     EXPECT_EQ(built.events[i].station, parsed.events[i].station) << i;
     EXPECT_EQ(built.events[i].at, parsed.events[i].at) << i;
   }
-}
-
-TEST(FaultSchedule, ChurnSeedPrefersEnvThenDerivesFromTestbedSeed) {
-  ::unsetenv("AIRFAIR_CHURN_SEED");
-  const uint64_t derived1 = ChurnSeedFromEnv(1);
-  const uint64_t derived2 = ChurnSeedFromEnv(2);
-  EXPECT_NE(derived1, derived2);  // Nearby seeds get unrelated fault streams.
-  EXPECT_NE(derived1, 1u);
-  ::setenv("AIRFAIR_CHURN_SEED", "1234", /*overwrite=*/1);
-  EXPECT_EQ(ChurnSeedFromEnv(1), 1234u);
-  ::unsetenv("AIRFAIR_CHURN_SEED");
 }
 
 TEST(FaultSchedule, PlanFromEnvRoundTrips) {
@@ -128,62 +91,6 @@ TEST(FaultSchedule, PlanFromEnvRoundTrips) {
   EXPECT_EQ(plan.events[0].kind, FaultKind::kLeave);
   EXPECT_EQ(plan.events[1].at, 750_ms);
   EXPECT_TRUE(FaultPlanFromEnv().empty());  // Unset: empty plan.
-}
-
-// --- Gilbert-Elliott chain ---
-
-TEST(GilbertElliott, StartsGoodAndAlternates) {
-  GilbertElliottChain::Config config;
-  config.mean_good = 5_ms;
-  config.mean_bad = 5_ms;
-  config.p_bad = 0.9;
-  GilbertElliottChain chain(7, config);
-  EXPECT_FALSE(chain.BadAt(TimeUs::Zero()));
-  EXPECT_DOUBLE_EQ(chain.LossAt(TimeUs::Zero()), 0.0);
-  // Over 200 mean dwells the chain must have flipped, and some instant must
-  // be in the bad state carrying p_bad.
-  bool saw_bad = false;
-  for (int t_ms = 0; t_ms < 1000 && !saw_bad; ++t_ms) {
-    saw_bad = chain.BadAt(TimeUs::FromMilliseconds(t_ms));
-  }
-  EXPECT_TRUE(saw_bad);
-  EXPECT_GT(chain.transitions(), 0u);
-}
-
-TEST(GilbertElliott, TrajectoryIndependentOfQueryOrder) {
-  GilbertElliottChain::Config config;
-  config.mean_good = 3_ms;
-  config.mean_bad = 2_ms;
-  GilbertElliottChain forward(42, config);
-  GilbertElliottChain scattered(42, config);
-  // Chain B materialises its whole horizon with one far query, then is read
-  // backwards; chain A is read forwards. Same seed => same trajectory.
-  std::vector<bool> backward_states(500);
-  (void)scattered.BadAt(TimeUs::FromMilliseconds(499));
-  for (int t_ms = 499; t_ms >= 0; --t_ms) {
-    backward_states[static_cast<size_t>(t_ms)] =
-        scattered.BadAt(TimeUs::FromMilliseconds(t_ms));
-  }
-  for (int t_ms = 0; t_ms < 500; ++t_ms) {
-    EXPECT_EQ(forward.BadAt(TimeUs::FromMilliseconds(t_ms)),
-              backward_states[static_cast<size_t>(t_ms)])
-        << "t=" << t_ms << "ms";
-  }
-  EXPECT_EQ(forward.transitions(), scattered.transitions());
-}
-
-TEST(GilbertElliott, DifferentSeedsProduceDifferentTrajectories) {
-  GilbertElliottChain::Config config;
-  config.mean_good = 3_ms;
-  config.mean_bad = 3_ms;
-  GilbertElliottChain a(1, config);
-  GilbertElliottChain b(2, config);
-  bool diverged = false;
-  for (int t_ms = 0; t_ms < 2000 && !diverged; ++t_ms) {
-    diverged = a.BadAt(TimeUs::FromMilliseconds(t_ms)) !=
-               b.BadAt(TimeUs::FromMilliseconds(t_ms));
-  }
-  EXPECT_TRUE(diverged);
 }
 
 // --- Injector against a live testbed ---
@@ -263,48 +170,6 @@ TEST(FaultInjection, RejoinedStationResumesDelivery) {
   EXPECT_GT(rig.sinks[0]->measured_bytes(), 0);
 }
 
-TEST(FaultInjection, FadeRewritesRateAndRestores) {
-  TestbedConfig config = ChurnConfig();
-  // Fade the fast station 0 (MCS 15) down to MCS 0, restoring 400 ms later.
-  config.faults = FaultPlan().Fade(0, 300_ms, 0, 400_ms);
-  ChurnRig rig(config);
-  const double original_mbps = rig.tb.stations().Get(0).rate.Mbps();
-
-  rig.tb.sim().RunFor(500_ms);  // Inside the fade window.
-  EXPECT_LT(rig.tb.stations().Get(0).rate.Mbps(), original_mbps / 2);
-  EXPECT_EQ(rig.tb.fault_injector()->fades_applied(), 1);
-
-  rig.tb.sim().RunFor(500_ms);  // Past the restore.
-  EXPECT_DOUBLE_EQ(rig.tb.stations().Get(0).rate.Mbps(), original_mbps);
-}
-
-TEST(FaultInjection, BurstLossReducesDeliveryDeterministically) {
-  const auto measured_bytes = [](double p_bad) {
-    TestbedConfig config = ChurnConfig();
-    if (p_bad > 0) {
-      FaultPlan plan;
-      plan.Burst(0, 200_ms, 1500_ms, p_bad);
-      plan.events.back().mean_good = 5_ms;  // Dense bursts for a short run.
-      plan.events.back().mean_bad = 20_ms;
-      config.faults = plan;
-    }
-    ChurnRig rig(config);
-    rig.tb.sim().RunFor(200_ms);
-    rig.sinks[0]->StartMeasuring(rig.tb.sim().now());
-    rig.tb.sim().RunFor(1500_ms);
-    if (p_bad > 0) {
-      EXPECT_EQ(rig.tb.fault_injector()->bursts_started(), 1);
-    }
-    return rig.sinks[0]->measured_bytes();
-  };
-  const int64_t clean = measured_bytes(0.0);
-  const int64_t bursty = measured_bytes(0.9);
-  EXPECT_GT(clean, 0);
-  EXPECT_LT(bursty, clean);
-  // Determinism: the same seeded run reproduces byte-for-byte.
-  EXPECT_EQ(bursty, measured_bytes(0.9));
-}
-
 // --- Windowed Jain semantics under churn ---
 
 TEST(FaultInjection, WindowedJainCountsOnlyPresentStations) {
@@ -356,19 +221,14 @@ ExperimentTiming ShortTiming() {
   return timing;
 }
 
-// Every fault kind inside ShortTiming's 400 ms span: a leave/rejoin cycle on
-// station 1, a burst-loss window on station 2 and a fade-and-restore on
-// station 0.
-TestbedConfig EveryFaultKindConfig() {
+// Two overlapping leave/rejoin cycles inside ShortTiming's 400 ms span:
+// station 1 is away from 120 to 240 ms and station 2 from 180 to 300 ms.
+TestbedConfig OverlappingChurnConfig() {
   TestbedConfig config;
   config.seed = 23;
   config.scheme = QueueScheme::kAirtimeFair;
-  config.faults = FaultPlan()
-                      .Leave(1, 120_ms)
-                      .Join(1, 240_ms)
-                      .Burst(2, 150_ms, 80_ms, 0.8)
-                      .Fade(0, 180_ms, /*mcs=*/0, /*restore_after=*/120_ms);
-  config.churn_seed = 77;  // Pin it: the env fallback would vary per machine.
+  config.faults =
+      FaultPlan().Leave(1, 120_ms).Leave(2, 180_ms).Join(1, 240_ms).Join(2, 300_ms);
   return config;
 }
 
@@ -388,7 +248,7 @@ TEST(FaultDeterminism, FaultedTimeseriesRepeatsWithMarksAtScheduledInstants) {
   const auto run = [&](const std::string& tag) {
     const std::string path = dir + "faulted_series_" + tag + ".jsonl";
     ::setenv("AIRFAIR_TIMESERIES_JSON", path.c_str(), /*overwrite=*/1);
-    RunUdpDownload(EveryFaultKindConfig(), ShortTiming(), 30e6);
+    RunUdpDownload(OverlappingChurnConfig(), ShortTiming(), 30e6);
     ::unsetenv("AIRFAIR_TIMESERIES_JSON");
     return path;
   };
@@ -402,24 +262,14 @@ TEST(FaultDeterminism, FaultedTimeseriesRepeatsWithMarksAtScheduledInstants) {
   ASSERT_TRUE(analyze::LoadTimeseriesJsonl(first, &ts, &error)) << error;
   const auto marks = ts.series.find(analyze::kPerturbationSeries);
   ASSERT_NE(marks, ts.series.end());
-  // Five reconvergence marks: leave, fade apply, burst end, join, fade
-  // restore — and one onset mark at the burst start.
-  ASSERT_EQ(marks->second.size(), 5u);
-  EXPECT_EQ(marks->second[0].first, (120_ms).us());  // leave
-  EXPECT_EQ(marks->second[0].second, 1.0);
-  EXPECT_EQ(marks->second[1].first, (180_ms).us());  // fade apply
-  EXPECT_EQ(marks->second[1].second, 4.0);
-  EXPECT_EQ(marks->second[2].first, (230_ms).us());  // burst end
-  EXPECT_EQ(marks->second[2].second, 3.0);
-  EXPECT_EQ(marks->second[3].first, (240_ms).us());  // join
-  EXPECT_EQ(marks->second[3].second, 2.0);
-  EXPECT_EQ(marks->second[4].first, (300_ms).us());  // fade restore
-  EXPECT_EQ(marks->second[4].second, 4.0);
-  const auto onsets = ts.series.find("perturbation_onset");
-  ASSERT_NE(onsets, ts.series.end());
-  ASSERT_EQ(onsets->second.size(), 1u);
-  EXPECT_EQ(onsets->second[0].first, (150_ms).us());  // burst start
-  EXPECT_EQ(onsets->second[0].second, 3.0);
+  // One mark per churn event, valued by its 1-based FaultKind code.
+  const std::vector<std::pair<TimeUs, double>> expected = {
+      {120_ms, 1.0}, {180_ms, 1.0}, {240_ms, 2.0}, {300_ms, 2.0}};
+  ASSERT_EQ(marks->second.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(marks->second[i].first, expected[i].first.us()) << i;
+    EXPECT_EQ(marks->second[i].second, expected[i].second) << i;
+  }
 }
 
 TEST(TraceDeterminism, TracedTcpRunExportsIdenticalArtifactsPerSeed) {

@@ -45,18 +45,6 @@ TEST_F(UdpTest, CbrSourceHitsConfiguredRate) {
   EXPECT_EQ(sink.sequence_gaps(), 0);
 }
 
-TEST_F(UdpTest, PoissonSourceApproximatesRate) {
-  UdpSink sink(&b_, 5000);
-  UdpSource::Config config;
-  config.rate_bps = 10e6;
-  config.packet_bytes = 1250;
-  config.poisson = true;
-  UdpSource source(&a_, 2, 5000, config);
-  source.Start();
-  sim_.RunFor(10_s);
-  EXPECT_NEAR(static_cast<double>(sink.packets_received()), 10000.0, 500.0);
-}
-
 TEST_F(UdpTest, StopHaltsTraffic) {
   UdpSink sink(&b_, 5000);
   UdpSource source(&a_, 2, 5000, UdpSource::Config());

@@ -20,6 +20,7 @@
 
 #include "src/net/packet_pool.h"
 #include "src/net/udp.h"
+#include "src/net/wired_link.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/scenario/experiments.h"
@@ -239,6 +240,51 @@ TEST(PerfAllocTest, CancelledTimersLeaveTheQueueAtOnce) {
   loop.RunUntil(TimeUs::FromSeconds(1));
   EXPECT_EQ(timer_fires, 64);
   EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+// A backlogged wired link: each burst of 256 packets leaves 255 of them
+// waiting for the transmitter. The buffer of their start times is a ring
+// sized once, at construction, so a burst allocates nothing.
+constexpr int kBurstPackets = 256;
+constexpr TimeUs kBurstPeriod = TimeUs::FromMicroseconds(6400);
+
+struct WiredBurst {
+  Simulation* sim;
+  PacketPool* pool;
+  WiredLink::Direction* link;
+  int remaining;
+  void operator()() {
+    for (int i = 0; i < kBurstPackets; ++i) {
+      PacketPtr packet = pool->Allocate();
+      packet->size_bytes = 1500;
+      link->Send(std::move(packet));
+    }
+    if (--remaining > 0) {
+      sim->PostAfter(kBurstPeriod, WiredBurst{sim, pool, link, remaining});
+    }
+  }
+};
+
+TEST(PerfAllocTest, BackloggedWiredLinkIsAllocationFree) {
+  constexpr int kWarmupBursts = 4;
+  constexpr int kMeasuredBursts = 32;
+  PacketPool pool;  // Outlives the loop: queued deliveries hold its packets.
+  Simulation sim;
+  // 1 Gbit/s: a burst serializes in 256 x 12 us = 3.07 ms, half the period.
+  WiredLink link(&sim, WiredLink::Config());
+  std::int64_t delivered = 0;
+  link.forward().set_deliver([&delivered](PacketPtr) { ++delivered; });
+  sim.PostAfter(TimeUs::Zero(),
+                WiredBurst{&sim, &pool, &link.forward(), kWarmupBursts + kMeasuredBursts});
+  // Warmup: the pool, the slot slab and the heap array reach their size.
+  sim.RunUntil(TimeUs::FromMicroseconds(kWarmupBursts * kBurstPeriod.us() - 100));
+  ASSERT_EQ(delivered, kWarmupBursts * kBurstPackets);
+
+  const std::int64_t before = AllocationCount();
+  sim.RunUntil(TimeUs::FromSeconds(1));
+  EXPECT_EQ(AllocationCount() - before, 0) << "a backlogged wired link touched the heap";
+  EXPECT_EQ(delivered, (kWarmupBursts + kMeasuredBursts) * kBurstPackets);
+  EXPECT_EQ(link.forward().drops(), 0);
 }
 
 // --- Observability-layer discipline (src/obs) ----------------------------

@@ -119,30 +119,5 @@ TEST(Rng, ChanceApproximatesProbability) {
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialHasRequestedMean) {
-  Rng rng(23);
-  const TimeUs mean = TimeUs::FromMilliseconds(10);
-  int64_t sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    const TimeUs draw = rng.Exponential(mean);
-    EXPECT_GE(draw.us(), 0);
-    sum += draw.us();
-  }
-  EXPECT_NEAR(static_cast<double>(sum) / n, 10000.0, 200.0);
-}
-
-TEST(Rng, ForkProducesDecorrelatedStream) {
-  Rng parent(29);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.Next() == child.Next()) {
-      ++same;
-    }
-  }
-  EXPECT_EQ(same, 0);
-}
-
 }  // namespace
 }  // namespace airfair

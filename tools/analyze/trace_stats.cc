@@ -78,10 +78,6 @@ const char* PerturbationKindName(double code) {
       return "leave";
     case 2:
       return "join";
-    case 3:
-      return "burst";
-    case 4:
-      return "fade";
     default:
       return "unknown";
   }
