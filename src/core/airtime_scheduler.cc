@@ -139,11 +139,11 @@ bool AirtimeScheduler::HasBacklogged(AccessCategory ac) const {
 
 int AirtimeScheduler::CheckInvariants(AuditFailFn fail) const {
   int violations = 0;
+  auto prefixed = [&](const std::string& message) { fail("airtime_scheduler: " + message); };
   auto report = [&](const std::string& message) {
     ++violations;
-    fail("airtime_scheduler: " + message);
+    prefixed(message);
   };
-  auto subfail = [&](const std::string& message) { report(message); };
 
   // Upper bound holds for *every* station state, listed or not: deficits
   // start at 0, MarkBacklogged resets to exactly one quantum, replenishment
@@ -171,8 +171,8 @@ int AirtimeScheduler::CheckInvariants(AuditFailFn fail) const {
   const int64_t floor_us = min_deficit_seen_us_;
   for (size_t ac = 0; ac < acs_.size(); ++ac) {
     const AcState& lists = acs_[ac];
-    violations += lists.new_stations.CheckIntegrity(subfail);
-    violations += lists.old_stations.CheckIntegrity(subfail);
+    violations += lists.new_stations.CheckIntegrity(prefixed);
+    violations += lists.old_stations.CheckIntegrity(prefixed);
     for (const auto* list : {&lists.new_stations, &lists.old_stations}) {
       for (const StationState* state : *list) {
         if (state->station < 0 || state->station >= static_cast<StationId>(stations_.size())) {

@@ -15,6 +15,8 @@
 //    (Algorithm 1, lines 2-4; Section 4.1.2).
 //  * The FQ-CoDel DRR scheduler (deficits, new/old lists, sparse-flow
 //    priority) runs per TID over that TID's active queues (Algorithm 2).
+//    The pool, the lists and the DRR are src/aqm/flow_queues.h, with one
+//    tin per TID, as mac80211's fq.h does it.
 //  * CoDel parameters are resolved *per station* at dequeue time so the
 //    Section 3.1.1 low-rate adaptation can apply.
 
@@ -22,18 +24,16 @@
 #define AIRFAIR_SRC_CORE_MAC_QUEUES_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/aqm/codel.h"
+#include "src/aqm/flow_queues.h"
 #include "src/mac/frame.h"
 #include "src/net/packet.h"
-#include "src/util/backlog_heap.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
-#include "src/util/intrusive_list.h"
 #include "src/util/time.h"
 
 namespace airfair {
@@ -74,105 +74,54 @@ class MacQueues {
 
   // Backlogged packets for one TID / overall.
   int TidBacklog(StationId station, Tid tid) const;
-  int packet_count() const { return total_packets_; }
+  int packet_count() const { return flows_.packet_count(); }
 
   // Station-lifecycle teardown (fault-injection churn): destroys every
-  // packet resident in the station's TID structures (flow queues assigned to
-  // them plus the per-TID overflow queues), releases the flow queues back to
-  // the shared pool and erases the TID states. Flushed packets are tracked
-  // in flushed_total_ so the conservation recount still balances
-  // (enqueued == dequeued + dropped + flushed + resident). Returns the
-  // number of packets destroyed.
+  // packet resident in the station's TID structures (the flow queues they
+  // own plus the per-TID overflow queues), releases the flow queues back to
+  // the shared pool and erases the TID states. Flushed packets are counted
+  // apart from drops, neither dequeued nor dropped by an AQM decision, so
+  // the conservation audit still balances (enqueued == dequeued + dropped +
+  // flushed + resident). Returns the number of packets destroyed.
   int64_t FlushStation(StationId station);
 
-  // Packets destroyed by FlushStation (they were neither dequeued nor
-  // dropped by an AQM decision).
-  int64_t flushed_total() const { return flushed_total_; }
+  int64_t codel_drops() const { return flows_.codel_drops(); }
+  int64_t overflow_drops() const { return flows_.overflow_drops(); }
+  int64_t drops() const { return flows_.drops(); }
 
-  int64_t codel_drops() const { return codel_drops_; }
-  int64_t overflow_drops() const { return overflow_drops_; }
-  int64_t drops() const { return codel_drops_ + overflow_drops_; }
-
-  // Lifetime accounting for the conservation audit: every packet handed to
-  // Enqueue is eventually dequeued, dropped, or still resident.
-  int64_t enqueued_total() const { return enqueued_total_; }
-  int64_t dequeued_total() const { return dequeued_total_; }
-
-  // Invariant audit (see src/sim/audit.h). Verifies, calling `fail` once per
-  // violation and returning the violation count:
-  //  * packet conservation: enqueued == dequeued + dropped + resident,
-  //    including the per-TID overflow queues;
-  //  * the backlog heap holds exactly the non-empty queues, its position
-  //    back-pointers and parent/child order are intact, and its per-queue
-  //    byte counters match the packets held;
-  //  * per-TID backlog counters match a recount;
-  //  * scheduled-queue/TID assignment consistency and intrusive-list
-  //    structural integrity (new and old lists);
-  //  * FQ-CoDel deficit bounds: deficit <= quantum always, and a queue's
-  //    deficit never falls to -max_packet_size or below (one dequeue charges
-  //    at most one packet against a positive deficit);
-  //  * per-flow CoDel state-machine validity.
+  // Invariant audit (see src/sim/audit.h): the shared flow-queue pool
+  // (FlowQueues::CheckInvariants) and every TID's tin (FlowQueues::CheckTin).
+  // Calls `fail` once per violation and returns the number of calls.
   int CheckInvariants(AuditFailFn fail) const;
 
   // Test-only corruption hooks, used by tests/sim_audit_test.cc to prove the
   // auditor detects each invariant class.
-  void CorruptConservationForTesting() { ++enqueued_total_; }
+  void CorruptConservationForTesting() { flows_.CorruptConservationForTesting(); }
+  void CorruptBacklogHeapForTesting() { flows_.CorruptBacklogHeapForTesting(); }
   void CorruptDeficitForTesting();
   void CorruptCodelStateForTesting();
   void CorruptTidBacklogForTesting();
-  void CorruptBacklogHeapForTesting();
 
  private:
-  struct TidQueue;
-
-  struct FlowQueue {
-    std::deque<PacketPtr> packets;
-    int64_t bytes = 0;
-    int64_t deficit = 0;
-    CoDelState codel;
-    TidQueue* tid = nullptr;  // Current TID assignment; nullptr when free.
-    ListNode sched_node;      // On the owning TID's new/old list when active.
-    HeapSlot backlog_slot;    // In the backlog heap when non-empty.
-  };
-
   struct TidQueue {
-    StationId station = kNoStation;
-    Tid tid = 0;
+    FlowTin tin;
     FlowQueue overflow;  // Dedicated collision overflow queue (Algorithm 1).
-    IntrusiveList<FlowQueue, &FlowQueue::sched_node> new_queues;
-    IntrusiveList<FlowQueue, &FlowQueue::sched_node> old_queues;
-    int backlog_packets = 0;
   };
 
   TidQueue* FindTid(StationId station, Tid tid) const;
   TidQueue& GetOrCreateTid(StationId station, Tid tid);
-  void DropFromLongestQueue();
-  PacketPtr PullHead(FlowQueue& queue);
-  CoDelParams ParamsFor(StationId station) const;
+  // The first queue scheduled on any TID, for the corruption hooks.
+  FlowQueue* AnyScheduledQueue();
 
-  InlineFunction<TimeUs()> clock_;
   Config config_;
+  FlowQueues flows_;
   InlineFunction<CoDelParams(StationId)> codel_params_;
-  std::vector<FlowQueue> pool_;
   // Dense TID index: slot station * kNumTids + tid, grown on first use.
   // Station ids are small dense integers, so direct indexing replaces the
   // former unordered_map — FindTid is two loads on the per-packet enqueue/
   // dequeue path instead of a hash probe, which matters at 256 stations.
   // nullptr = never created, or torn down by FlushStation.
   std::vector<std::unique_ptr<TidQueue>> tids_;
-  // Every non-empty queue (flow and overflow queues alike), longest on top.
-  // The tie is a join counter stamped when a queue goes from empty to
-  // non-empty, so among equal backlogs the earliest joiner is the victim.
-  BacklogHeap<FlowQueue, &FlowQueue::bytes, &FlowQueue::backlog_slot> backlog_;
-  uint64_t joins_ = 0;
-  int total_packets_ = 0;
-  int64_t codel_drops_ = 0;
-  int64_t overflow_drops_ = 0;
-  int64_t enqueued_total_ = 0;
-  int64_t dequeued_total_ = 0;
-  int64_t flushed_total_ = 0;
-  // Largest packet ever enqueued; bounds how far a deficit may go negative.
-  int32_t max_packet_bytes_seen_ = 0;
 };
 
 }  // namespace airfair

@@ -94,6 +94,18 @@ void AccessPoint::FillHardwareQueue(AccessCategory ac) {
     if (tx.empty()) {
       break;
     }
+    if (tx.station >= 0 && !stations_->IsActive(tx.station)) {
+      // A backend without per-station structure (the baseline qdiscs) still
+      // holds packets for a departed station and builds aggregates from
+      // them. Like mac80211 for a station no longer associated, drop them
+      // here instead of spending airtime on them.
+      for (const auto& mpdu : tx.mpdus) {
+        if (mpdu.packet != nullptr) {
+          ++churn_drained_;
+        }
+      }
+      continue;
+    }
     // MAC sequence numbers are assigned when frames are handed to the
     // hardware (after the reordering-capable queueing layers, as Section 3.1
     // requires); retries keep their numbers.

@@ -76,15 +76,17 @@ class AccessPoint {
   // zero, in step with the receiver-side reorder flush. An aggregate already
   // handed to the medium finishes on the air: its successful MPDUs are
   // drained at delivery by the inactive-station check, its failed MPDUs by
-  // the inactive check in the retry path. All packets destroyed here are
-  // accounted in churn_drained().
+  // the inactive check in the retry path. Packets a backend cannot flush
+  // (the baseline qdiscs') are drained when it builds an aggregate from
+  // them, before the aggregate reaches the hardware queue. All packets
+  // destroyed here are accounted in churn_drained().
   void DetachStation(StationId station);
 
   int64_t retry_drops() const { return retry_drops_; }
   int64_t unroutable_drops() const { return unroutable_; }
   // Packets destroyed by churn teardown: hardware-queue purges, backend
-  // flushes, and downlink arrivals/retries for a detached station. Feeds the
-  // conservation ledger's `drained` term.
+  // flushes, and downlink arrivals, built aggregates and retries for a
+  // detached station. Feeds the conservation ledger's `drained` term.
   int64_t churn_drained() const { return churn_drained_; }
 
  private:

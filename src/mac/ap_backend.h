@@ -46,9 +46,10 @@ class ApQueueBackend {
   // later rejoin starts from a clean slate. Returns the number of packets
   // destroyed, which the caller accounts under the ledger's `drained`
   // category. The default is a no-op: shared-FIFO backends (the paper's
-  // baseline qdiscs) have no per-station structure to tear down — packets
-  // already queued for a departed station simply transmit and are drained at
-  // delivery time by the inactive-station check.
+  // baseline qdiscs) have no per-station structure to tear down. Packets
+  // they still hold for a departed station stay queued until BuildNext puts
+  // them in an aggregate, which AccessPoint::FillHardwareQueue then drains
+  // instead of transmitting.
   virtual int64_t FlushStation(StationId station) {
     (void)station;
     return 0;

@@ -72,8 +72,8 @@ struct LedgerTallies {
 
   // Drain breakdown (sums to `drained`).
   int64_t ap_churn_drained = 0;       // AP hw-queue purges + backend flushes
-                                      // + downlink arrivals for detached
-                                      // stations.
+                                      // + downlink arrivals and built
+                                      // aggregates for detached stations.
   int64_t station_churn_drained = 0;  // Station uplink flushes + detached
                                       // submissions/retries.
   int64_t reorder_churn_drained = 0;  // Session-close flushes + deliveries

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -169,6 +170,39 @@ TEST(FaultInjection, RejoinedStationResumesDelivery) {
   rig.tb.sim().RunFor(500_ms);
   EXPECT_GT(rig.sinks[0]->measured_bytes(), 0);
 }
+
+// --- A departed station gets no airtime ---
+
+class DepartedStationAirtime : public ::testing::TestWithParam<QueueScheme> {};
+
+TEST_P(DepartedStationAirtime, StaysConstantUntilTheJoin) {
+  // The slow station leaves under saturating downlink. The TXOP already on
+  // the air finishes; after that the station's airtime must not grow until
+  // it rejoins. The baseline qdiscs cannot flush a station's packets, so the
+  // AP must drain what they still hold for it instead of transmitting it.
+  constexpr StationId kSlow = 2;
+  TestbedConfig config = ChurnConfig();
+  config.scheme = GetParam();
+  config.faults = FaultPlan().Leave(kSlow, 500_ms).Join(kSlow, 1500_ms);
+  ChurnRig rig(config);
+  rig.tb.sim().RunFor(520_ms);  // The leave, and the TXOP in flight at it.
+  ASSERT_FALSE(rig.tb.stations().IsActive(kSlow));
+  const TimeUs after_leave = rig.tb.medium().AirtimeUsed(kSlow);
+  EXPECT_GT(after_leave, TimeUs::Zero());
+
+  rig.tb.sim().RunFor(975_ms);  // t = 1495 ms, just before the join.
+  ASSERT_FALSE(rig.tb.stations().IsActive(kSlow));
+  EXPECT_EQ(rig.tb.medium().AirtimeUsed(kSlow), after_leave);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, DepartedStationAirtime,
+                         ::testing::Values(QueueScheme::kFifo, QueueScheme::kFqCodel,
+                                           QueueScheme::kFqMac, QueueScheme::kAirtimeFair),
+                         [](const ::testing::TestParamInfo<QueueScheme>& param) {
+                           std::string name = SchemeName(param.param);
+                           name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+                           return name;
+                         });
 
 // --- Windowed Jain semantics under churn ---
 

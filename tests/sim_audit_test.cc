@@ -4,7 +4,8 @@
 //  * the Auditor itself — sweep cadence, recording, counters, fatal mode;
 //  * every invariant class the audit guards — each test corrupts one
 //    component through its *ForTesting hook and asserts the corresponding
-//    CheckInvariants call reports it (and reported nothing beforehand).
+//    CheckInvariants call reports it (and reported nothing beforehand), and
+//    returns exactly the number of violations it reported.
 // Finally an integration test runs full Testbed traffic with auditing on and
 // a deterministic seed, and requires zero violations across all sweeps.
 
@@ -35,11 +36,12 @@ namespace {
 
 using namespace time_literals;
 
-// Collects violation messages from a component's CheckInvariants call.
-std::vector<std::string> Violations(
-    const std::function<void(const Auditor::FailFn&)>& check) {
+// Collects violation messages from a component's CheckInvariants call, and
+// requires the count it returns to equal the number of messages.
+std::vector<std::string> Violations(const std::function<int(const Auditor::FailFn&)>& check) {
   std::vector<std::string> found;
-  check([&found](const std::string& message) { found.push_back(message); });
+  const int returned = check([&found](const std::string& message) { found.push_back(message); });
+  EXPECT_EQ(returned, static_cast<int>(found.size()));
   return found;
 }
 
@@ -230,7 +232,7 @@ class MacQueuesAudit : public ::testing::Test {
 
   std::vector<std::string> Audit() const {
     return Violations(
-        [this](const Auditor::FailFn& fail) { queues_.CheckInvariants(fail); });
+        [this](const Auditor::FailFn& fail) { return queues_.CheckInvariants(fail); });
   }
 
   Simulation sim_{7};
@@ -271,12 +273,12 @@ TEST(AirtimeSchedulerAudit, DetectsDeficitAboveQuantum) {
   scheduler.MarkBacklogged(/*station=*/0, AccessCategory::kBestEffort);
   scheduler.MarkBacklogged(/*station=*/1, AccessCategory::kBestEffort);
   EXPECT_TRUE(Violations([&](const Auditor::FailFn& fail) {
-                scheduler.CheckInvariants(fail);
+                return scheduler.CheckInvariants(fail);
               }).empty());
 
   scheduler.CorruptDeficitForTesting(AccessCategory::kBestEffort);
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
-                 scheduler.CheckInvariants(fail);
+                 return scheduler.CheckInvariants(fail);
                }).empty());
 }
 
@@ -285,12 +287,12 @@ TEST(AirtimeSchedulerAudit, DetectsDeficitBelowChargeWatermark) {
   scheduler.MarkBacklogged(/*station=*/0, AccessCategory::kBestEffort);
   scheduler.ChargeAirtime(/*station=*/0, AccessCategory::kBestEffort, 1_ms);
   EXPECT_TRUE(Violations([&](const Auditor::FailFn& fail) {
-                scheduler.CheckInvariants(fail);
+                return scheduler.CheckInvariants(fail);
               }).empty());
 
   scheduler.CorruptDeficitBelowFloorForTesting(AccessCategory::kBestEffort);
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
-                 scheduler.CheckInvariants(fail);
+                 return scheduler.CheckInvariants(fail);
                }).empty());
 }
 
@@ -299,12 +301,12 @@ TEST(CodelAdaptationAudit, DetectsHysteresisViolation) {
   CodelAdaptation adaptation([&sim] { return sim.now(); });
   adaptation.UpdateExpectedThroughput(/*station=*/0, 100e6);
   EXPECT_TRUE(Violations([&](const Auditor::FailFn& fail) {
-                adaptation.CheckInvariants(fail);
+                return adaptation.CheckInvariants(fail);
               }).empty());
 
   adaptation.CorruptHysteresisForTesting();
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
-                 adaptation.CheckInvariants(fail);
+                 return adaptation.CheckInvariants(fail);
                }).empty());
 }
 
@@ -314,7 +316,7 @@ TEST(CodelAdaptationAudit, DetectsLowRateStateMismatch) {
   adaptation.UpdateExpectedThroughput(/*station=*/0, 100e6);
   adaptation.CorruptLowRateStateForTesting(/*station=*/0);
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
-                 adaptation.CheckInvariants(fail);
+                 return adaptation.CheckInvariants(fail);
                }).empty());
 }
 
@@ -326,12 +328,12 @@ TEST(FqCodelAudit, DetectsConservationViolation) {
   }
   (void)qdisc.Dequeue();
   EXPECT_TRUE(Violations([&](const Auditor::FailFn& fail) {
-                qdisc.CheckInvariants(fail);
+                return qdisc.CheckInvariants(fail);
               }).empty());
 
   qdisc.CorruptConservationForTesting();
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
-                 qdisc.CheckInvariants(fail);
+                 return qdisc.CheckInvariants(fail);
                }).empty());
 }
 
@@ -342,12 +344,12 @@ TEST(FqCodelAudit, DetectsBacklogHeapDisorder) {
     qdisc.Enqueue(MakePacket(1500, static_cast<uint16_t>(1000 + i)));
   }
   EXPECT_TRUE(Violations([&](const Auditor::FailFn& fail) {
-                qdisc.CheckInvariants(fail);
+                return qdisc.CheckInvariants(fail);
               }).empty());
 
   qdisc.CorruptBacklogHeapForTesting();
   const std::vector<std::string> found = Violations(
-      [&](const Auditor::FailFn& fail) { qdisc.CheckInvariants(fail); });
+      [&](const Auditor::FailFn& fail) { return qdisc.CheckInvariants(fail); });
   ASSERT_FALSE(found.empty());
   EXPECT_NE(found[0].find("backlog heap order violated"), std::string::npos) << found[0];
 }
@@ -364,7 +366,7 @@ class ReorderAudit : public ::testing::Test {
 
   std::vector<std::string> Audit() const {
     return Violations(
-        [this](const Auditor::FailFn& fail) { buffer_.CheckInvariants(fail); });
+        [this](const Auditor::FailFn& fail) { return buffer_.CheckInvariants(fail); });
   }
 
   Simulation sim_{11};
@@ -503,7 +505,7 @@ TEST(ConservationLedger, InjectedLeakIsCaughtWithBreakdown) {
   // Direct use of the check outside the auditor reports the same violation.
   tb.ledger()->InjectImbalanceForTesting(-3);  // Back in balance.
   EXPECT_EQ(Violations([&](const Auditor::FailFn& fail) {
-              tb.ledger()->CheckInvariants(fail);
+              return tb.ledger()->CheckInvariants(fail);
             }).size(),
             0u);
 }
