@@ -269,6 +269,48 @@ void BM_EventLoopCancelRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopCancelRearm)->Arg(16)->Arg(256);
 
+// The udp_overload shape: N detached self-reposting CBR timers with a common
+// 6,400 us period, started 1 us apart, each posting a delivery through one
+// FIFO chain, a 1 Gbit/s wired link (12 us per 1,500-byte packet, then
+// 100 us of propagation). At N = 256 each period's burst queues about 3 ms
+// of deliveries behind the transmitter, so a few hundred events are live.
+// One iteration dispatches one event, a tick or a delivery.
+constexpr TimeUs kCbrPeriod = TimeUs::FromMicroseconds(6400);
+constexpr TimeUs kWireTx = TimeUs::FromMicroseconds(12);
+constexpr TimeUs kWireDelay = TimeUs::FromMicroseconds(100);
+
+struct CbrFanIn {
+  EventLoop loop;
+  TimeUs link_free;
+  int64_t delivered = 0;
+};
+
+struct CbrTick {
+  CbrFanIn* fan;
+  void operator()() const {
+    EventLoop& loop = fan->loop;
+    fan->link_free = std::max(loop.now(), fan->link_free) + kWireTx;
+    loop.PostAt(fan->link_free + kWireDelay, [fan = fan] { ++fan->delivered; });
+    loop.PostAfter(kCbrPeriod, *this);
+  }
+};
+
+void BM_EventLoopCbrFanIn(benchmark::State& state) {
+  CbrFanIn fan;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    fan.loop.PostAt(TimeUs(i), CbrTick{&fan});
+  }
+  // Two periods grow the slot slab and the queue to their steady size.
+  fan.loop.RunUntil(2 * kCbrPeriod);
+  for (auto _ : state) {
+    fan.loop.RunOne();
+  }
+  benchmark::DoNotOptimize(fan.delivered);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(fan.loop.pending_events()) + " pending");
+}
+BENCHMARK(BM_EventLoopCbrFanIn)->Arg(16)->Arg(256);
+
 // Per-event cost of the tracing layer with a ring installed: current-buffer
 // load + 48-byte record write through the AF_TRACE_* macro (the same
 // path every instrumented hot-path site takes in a traced run). The ring

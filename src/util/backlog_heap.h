@@ -15,9 +15,10 @@
 // Each element embeds a HeapSlot holding its position in the heap array (the
 // back-pointer that makes updates and removals O(log n)) and its tie.
 //
-// Its second user is the event queue (src/sim/event_loop.h): keyed on -when
-// with the sequence number as the tie, Top() is the earliest event, and
-// Remove() cancels a timer in O(log n).
+// Its second user is the event queue's far tier (src/sim/event_loop.h), the
+// events due beyond the timing wheel's window: keyed on -when with the
+// sequence number as the tie, Top() is the earliest of them, the next to
+// move into the wheel, and Remove() cancels a far timer in O(log n).
 
 #ifndef AIRFAIR_SRC_UTIL_BACKLOG_HEAP_H_
 #define AIRFAIR_SRC_UTIL_BACKLOG_HEAP_H_

@@ -190,30 +190,33 @@ TEST(PerfAllocTest, HandleTimerSteadyStateReusesSlots) {
 }
 
 // The TCP RTO pattern (TcpSocket::ArmRto): every ACK cancels the
-// retransmission timer and arms it again, so the timers almost never fire.
-// Each ACK tick re-arms all of them.
+// retransmission timer and arms it again, `timeout` out, so the timers
+// almost never fire. Each ACK tick re-arms all of them.
 struct AckTick {
   EventLoop* loop;
   std::vector<EventHandle>* timers;
   std::int64_t* timer_fires;
+  TimeUs timeout;
   int remaining;
   void operator()() {
     for (EventHandle& timer : *timers) {
       timer.Cancel();
-      timer = loop->ScheduleAfter(TimeUs(1000), [fires = timer_fires] { ++*fires; });
+      timer = loop->ScheduleAfter(timeout, [fires = timer_fires] { ++*fires; });
     }
     if (--remaining > 0) {
-      loop->PostAfter(TimeUs(10), AckTick{loop, timers, timer_fires, remaining});
+      loop->PostAfter(TimeUs(10), AckTick{loop, timers, timer_fires, timeout, remaining});
     }
   }
 };
 
-TEST(PerfAllocTest, CancelledTimersLeaveTheQueueAtOnce) {
+// Runs 10,064 ACK ticks re-arming 64 timers `timeout` out, and checks the
+// cycle after warmup.
+void ExpectCancelRearmCycleIsAllocationFree(TimeUs timeout) {
   constexpr int kTicks = 10064;
   EventLoop loop;
   std::vector<EventHandle> timers(64);
   std::int64_t timer_fires = 0;
-  loop.PostAfter(TimeUs(10), AckTick{&loop, &timers, &timer_fires, kTicks});
+  loop.PostAfter(TimeUs(10), AckTick{&loop, &timers, &timer_fires, timeout, kTicks});
   // Warmup: an ACK ticks every 10 us; 64 ticks grow the slab to 64 timers
   // plus the running and the next ACK tick.
   loop.RunUntil(TimeUs(645));
@@ -240,6 +243,18 @@ TEST(PerfAllocTest, CancelledTimersLeaveTheQueueAtOnce) {
   loop.RunUntil(TimeUs::FromSeconds(1));
   EXPECT_EQ(timer_fires, 64);
   EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+// 1 ms timers wait in the event queue's wheel.
+TEST(PerfAllocTest, CancelledTimersLeaveTheQueueAtOnce) {
+  ExpectCancelRearmCycleIsAllocationFree(TimeUs(1000));
+}
+
+// TCP's real timeouts (at least 200 ms) wait in the far heap, beyond the
+// wheel's window.
+TEST(PerfAllocTest, CancelledFarTimersLeaveTheQueueAtOnce) {
+  static_assert(200'000 >= EventLoop::kWheelUs);
+  ExpectCancelRearmCycleIsAllocationFree(TimeUs::FromMilliseconds(200));
 }
 
 // A backlogged wired link: each burst of 256 packets leaves 255 of them

@@ -155,6 +155,41 @@ TEST(Auditor, WatchEventLoopPassesOnAHealthyLoop) {
   EXPECT_EQ(auditor.RunChecksNow(), 0);
 }
 
+// The event queue's wheel: three events share one bucket, and one waits in
+// the far heap. Each corruption is reported exactly once.
+class EventLoopAudit : public ::testing::Test {
+ protected:
+  EventLoopAudit() {
+    for (int i = 0; i < 3; ++i) {
+      loop_.PostAt(kBucket, [] {});
+    }
+    loop_.PostAt(TimeUs(3 * EventLoop::kWheelUs), [] {});
+  }
+
+  std::vector<std::string> Audit() const {
+    return Violations([this](const Auditor::FailFn& fail) { return loop_.CheckInvariants(fail); });
+  }
+
+  static constexpr TimeUs kBucket = TimeUs::FromMicroseconds(100);
+  EventLoop loop_;
+};
+
+TEST_F(EventLoopAudit, CleanStateHasNoViolations) { EXPECT_TRUE(Audit().empty()); }
+
+TEST_F(EventLoopAudit, DetectsABucketRingOutOfSeqOrder) {
+  loop_.SwapBucketHeadForTesting(kBucket);
+  const std::vector<std::string> found = Audit();
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_NE(found[0].find("out of seq order"), std::string::npos) << found[0];
+}
+
+TEST_F(EventLoopAudit, DetectsAClearedOccupancyBit) {
+  loop_.ClearOccupancyForTesting(kBucket);
+  const std::vector<std::string> found = Audit();
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_NE(found[0].find("occupancy bit is clear"), std::string::npos) << found[0];
+}
+
 TEST(AuditEnvironment, EnvironmentOverridesCompileTimeDefault) {
   // Save and restore whatever the harness set.
   const char* old = std::getenv("AIRFAIR_AUDIT");

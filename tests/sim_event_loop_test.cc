@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/sim/simulation.h"
 #include "src/util/rng.h"
 
@@ -215,6 +215,22 @@ TEST(EventLoop, CallbackThatGrowsTheSlabKeepsRunningInPlace) {
   EXPECT_EQ(children, 1000);
 }
 
+// The delays (from now) a LoopModel schedules at and the spans it runs
+// RunUntil for, each drawn uniformly.
+struct LoopMix {
+  std::vector<int64_t> delays;
+  std::vector<int64_t> run_spans;
+};
+
+// Short delays with many same-time ties, all inside the wheel's window.
+const LoopMix kNarrowMix = {{0, 0, 0, 1, 3, 10, 100, 1000}, {0, 1, 5, 20}};
+
+// Delays and spans on both sides of the window's edge, so events are
+// scheduled into both tiers, far events move into the wheel as the clock
+// jumps, and RunUntil crosses whole windows.
+constexpr int64_t kW = EventLoop::kWheelUs;
+const LoopMix kWindowEdgeMix = {{0, 1, kW - 1, kW, kW + 1, 3 * kW}, {0, 5, kW, 2 * kW + 7}};
+
 // Seeded differential test: the loop against a std::set<(when, seq)> model
 // under a random mix of ScheduleAt, PostAt, Cancel, RunOne and RunUntil with
 // many same-time ties. Callbacks check they are the model's earliest event
@@ -222,7 +238,7 @@ TEST(EventLoop, CallbackThatGrowsTheSlabKeepsRunningInPlace) {
 // fire or are cancelled, so stale handles to reused slots are exercised too.
 class LoopModel {
  public:
-  explicit LoopModel(uint64_t seed) : rng_(seed) {}
+  LoopModel(uint64_t seed, LoopMix mix) : mix_(std::move(mix)), rng_(seed) {}
 
   void Step() {
     switch (rng_.NextBelow(8)) {
@@ -243,7 +259,8 @@ class LoopModel {
         break;
       }
       default: {
-        const int64_t end = loop_.now().us() + kRunSpans[rng_.NextBelow(kRunSpans.size())];
+        const int64_t end =
+            loop_.now().us() + mix_.run_spans[rng_.NextBelow(mix_.run_spans.size())];
         loop_.RunUntil(TimeUs(end));
         EXPECT_TRUE(model_.empty() || model_.begin()->first > end);
         EXPECT_EQ(loop_.now().us(), end);
@@ -255,11 +272,10 @@ class LoopModel {
 
   int64_t dispatched() const { return dispatched_; }
   int64_t cancelled() const { return cancelled_; }
+  // Dispatched events that were scheduled kWheelUs or more ahead.
+  int64_t far_dispatched() const { return far_dispatched_; }
 
  private:
-  static constexpr std::array<int64_t, 8> kDelays = {0, 0, 0, 1, 3, 10, 100, 1000};
-  static constexpr std::array<int64_t, 4> kRunSpans = {0, 1, 5, 20};
-
   struct Held {
     EventHandle handle;
     int64_t when;
@@ -267,10 +283,11 @@ class LoopModel {
   };
 
   void Schedule() {
-    const int64_t when = loop_.now().us() + kDelays[rng_.NextBelow(kDelays.size())];
+    const int64_t delay = mix_.delays[rng_.NextBelow(mix_.delays.size())];
+    const int64_t when = loop_.now().us() + delay;
     const uint64_t seq = next_seq_++;
     model_.emplace(when, seq);
-    EventFn fn = [this, when, seq] { Fire(when, seq); };
+    EventFn fn = [this, when, seq, far = delay >= kW] { Fire(when, seq, far); };
     if (rng_.Chance(0.3)) {
       loop_.PostAt(TimeUs(when), std::move(fn));
       return;
@@ -292,7 +309,7 @@ class LoopModel {
     cancelled_ += static_cast<int64_t>(model_.erase({held.when, held.seq}));
   }
 
-  void Fire(int64_t when, uint64_t seq) {
+  void Fire(int64_t when, uint64_t seq, bool far) {
     EXPECT_EQ(loop_.now().us(), when);
     EXPECT_FALSE(model_.empty());
     if (!model_.empty()) {
@@ -300,6 +317,7 @@ class LoopModel {
     }
     model_.erase({when, seq});
     ++dispatched_;
+    far_dispatched_ += far ? 1 : 0;
     const uint64_t action = rng_.NextBelow(4);
     if (action == 0) {
       Schedule();
@@ -317,6 +335,7 @@ class LoopModel {
     EXPECT_EQ(loop_.CheckInvariants([](const std::string& m) { ADD_FAILURE() << m; }), 0);
   }
 
+  const LoopMix mix_;
   EventLoop loop_;
   Rng rng_;
   std::set<std::pair<int64_t, uint64_t>> model_;
@@ -324,12 +343,13 @@ class LoopModel {
   std::vector<Held> held_;
   int64_t dispatched_ = 0;
   int64_t cancelled_ = 0;
+  int64_t far_dispatched_ = 0;
 };
 
 TEST(EventLoop, MatchesAnOrderedSetModel) {
   for (const uint64_t seed : {1, 2, 3}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    LoopModel model(seed);
+    LoopModel model(seed, kNarrowMix);
     for (int op = 0; op < 20000; ++op) {
       model.Step();
       if (::testing::Test::HasFailure()) {
@@ -339,6 +359,55 @@ TEST(EventLoop, MatchesAnOrderedSetModel) {
     ASSERT_GT(model.dispatched(), 5000);
     ASSERT_GT(model.cancelled(), 300);
   }
+}
+
+TEST(EventLoop, MatchesAnOrderedSetModelAcrossTheWheelWindow) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    LoopModel model(seed, kWindowEdgeMix);
+    for (int op = 0; op < 20000; ++op) {
+      model.Step();
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at op " << op;
+      }
+    }
+    // Its own floors: the long delays and spans drain the queue more often,
+    // leaving fewer pending events to cancel (199-246 per seed).
+    ASSERT_GT(model.dispatched(), 8000);
+    ASSERT_GT(model.cancelled(), 150);
+    ASSERT_GT(model.far_dispatched(), 4000);
+  }
+}
+
+// Each dispatch trace record carries the number of events still pending
+// once the dispatched one is popped, whichever tier they wait in.
+TEST(EventLoop, DispatchTraceRecordsThePendingCountAfterThePop) {
+  TraceBuffer buffer;
+  ScopedTraceBuffer installed(&buffer);
+  EventLoop loop;
+  std::vector<int64_t> seen;  // pending_events() as each callback starts.
+  auto note = [&loop, &seen] { seen.push_back(static_cast<int64_t>(loop.pending_events())); };
+  for (const int64_t when : {0L, 1L, 1L, kW - 1, kW, kW + 1, 3 * kW, 50 * kW}) {
+    loop.PostAt(TimeUs(when), note);
+  }
+  (void)loop.ScheduleAt(TimeUs(5), [&loop, note] {
+    note();
+    loop.PostAfter(TimeUs(3), note);       // Near.
+    loop.PostAfter(TimeUs(2 * kW), note);  // Far.
+  });
+  EventHandle cancelled = loop.ScheduleAt(TimeUs(2 * kW), note);
+  cancelled.Cancel();
+  loop.RunUntil(TimeUs(100 * kW));
+
+  std::vector<int64_t> recorded;
+  buffer.ForEach([&recorded](const TraceRecord& record) {
+    if (record.type == static_cast<uint16_t>(TraceEventType::kDispatch)) {
+      recorded.push_back(record.a0);
+    }
+  });
+  ASSERT_EQ(seen.size(), 11u);
+  EXPECT_EQ(seen.front(), 8);  // 9 pending, less the one popped.
+  EXPECT_EQ(recorded, seen);
 }
 
 TEST(Simulation, RunForAdvancesRelativeToNow) {
