@@ -387,7 +387,7 @@ TEST(EventLoop, DispatchTraceRecordsThePendingCountAfterThePop) {
   EventLoop loop;
   std::vector<int64_t> seen;  // pending_events() as each callback starts.
   auto note = [&loop, &seen] { seen.push_back(static_cast<int64_t>(loop.pending_events())); };
-  for (const int64_t when : {0L, 1L, 1L, kW - 1, kW, kW + 1, 3 * kW, 50 * kW}) {
+  for (const int64_t when : std::vector<int64_t>{0, 1, 1, kW - 1, kW, kW + 1, 3 * kW, 50 * kW}) {
     loop.PostAt(TimeUs(when), note);
   }
   (void)loop.ScheduleAt(TimeUs(5), [&loop, note] {
